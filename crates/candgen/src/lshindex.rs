@@ -275,40 +275,6 @@ impl BandingIndex {
         index
     }
 
-    /// [`BandingIndex::probe`] with the bands fanned out across up to
-    /// `threads` workers and the per-band hit lists merged (deduplicated)
-    /// in band order — the same first-encounter order as the serial probe.
-    pub fn par_probe(&self, keys: &[u64], threads: usize) -> Vec<u32> {
-        if threads <= 1 {
-            return self.probe(keys);
-        }
-        assert_eq!(
-            keys.len(),
-            self.params.l as usize,
-            "expected one key per band"
-        );
-        let shards = fan_out(keys.len(), threads, |_, bands| {
-            bands
-                .map(|band| {
-                    self.buckets[band]
-                        .get(&keys[band])
-                        .map(Vec::as_slice)
-                        .unwrap_or(&[])
-                })
-                .collect::<Vec<&[u32]>>()
-        });
-        let mut out = Vec::new();
-        let mut seen = crate::fxhash::FxHashSet::<u32>::default();
-        for ids in shards.into_iter().flatten() {
-            for &id in ids {
-                if seen.insert(id) {
-                    out.push(id);
-                }
-            }
-        }
-        out
-    }
-
     /// [`BandingIndex::all_pairs`] with the bands fanned out across up to
     /// `threads` workers. Each worker collects its bands' pairs into a
     /// locally deduplicated [`PairSet`]; the shards are merged in band
@@ -980,7 +946,7 @@ mod tests {
             for (slot, &id) in ids.iter().enumerate().step_by(5) {
                 let qk = &keys[slot * l..(slot + 1) * l];
                 assert_eq!(
-                    par.par_probe(qk, threads),
+                    par.probe(qk),
                     serial.probe(qk),
                     "probe id {id} threads {threads}"
                 );

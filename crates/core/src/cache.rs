@@ -36,7 +36,12 @@ impl ConcentrationCache {
 
     /// Is the MAP estimate after `M(m, n)` concentrated, i.e.
     /// `Pr[|S − Ŝ| < δ | M(m, n)] ≥ 1 − γ`?
-    pub fn is_concentrated<M: PosteriorModel>(&mut self, model: &M, m: u32, n: u32) -> bool {
+    pub fn is_concentrated<M: PosteriorModel + ?Sized>(
+        &mut self,
+        model: &M,
+        m: u32,
+        n: u32,
+    ) -> bool {
         if let Some(&v) = self.map.get(&(m, n)) {
             self.hits += 1;
             return v;

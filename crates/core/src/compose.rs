@@ -31,7 +31,7 @@ use bayeslsh_lsh::{
     E2lshHasher, IntSignatures, Measure, MinHasher, ProjSignatures, SignaturePool, SrpHasher,
 };
 use bayeslsh_numeric::{derive_seed, Xoshiro256};
-use bayeslsh_sparse::{cosine, jaccard, l2_similarity, Dataset, SparseVector};
+use bayeslsh_sparse::{jaccard, Dataset, SparseVector};
 
 use crate::cosine_model::CosineModel;
 use crate::engine::{bayes_verify, bayes_verify_lite, sprt_verify, EngineStats};
@@ -44,6 +44,7 @@ use crate::parallel::{
     par_sprt_verify,
 };
 use crate::pipeline::{all_pairs_l2, PipelineConfig, PriorChoice};
+use crate::posterior::PosteriorModel;
 
 /// A signature pool for any hash family, created to match a
 /// [`PipelineConfig`]'s family: signed-random-projection bits for cosine
@@ -184,16 +185,6 @@ impl SigPool {
         }
     }
 
-    /// [`SigPool::hash_query`] with the hash range split across up to
-    /// `threads` workers; the returned signature is bit-identical.
-    pub fn hash_query_par(&mut self, v: &SparseVector, n: u32, threads: usize) -> Vec<u32> {
-        match self {
-            SigPool::Bits(p) => p.hash_external_par(v, n, threads),
-            SigPool::Ints(p) => p.hash_external_par(v, n, threads),
-            SigPool::Projs(p) => p.hash_external_par(v, n, threads),
-        }
-    }
-
     /// Whether [`SigPool::hash_query_ready`] can hash an `n`-deep query
     /// signature right now without mutating the pool (the hasher bank
     /// already covers the target depth).
@@ -216,14 +207,14 @@ impl SigPool {
         }
     }
 
-    /// Read-only [`SigPool::hash_query_par`]: bit-identical output, but
+    /// Read-only [`SigPool::hash_query`]: bit-identical output, but
     /// through `&self`. Requires [`SigPool::query_ready`]`(n)`; many reader
     /// threads may call this concurrently.
-    pub fn hash_query_ready(&self, v: &SparseVector, n: u32, threads: usize) -> Vec<u32> {
+    pub fn hash_query_ready(&self, v: &SparseVector, n: u32) -> Vec<u32> {
         match self {
-            SigPool::Bits(p) => p.hash_external_ready(v, n, threads),
-            SigPool::Ints(p) => p.hash_external_ready(v, n, threads),
-            SigPool::Projs(p) => p.hash_external_ready(v, n, threads),
+            SigPool::Bits(p) => p.hash_external_ready(v, n),
+            SigPool::Ints(p) => p.hash_external_ready(v, n),
+            SigPool::Projs(p) => p.hash_external_ready(v, n),
         }
     }
 
@@ -745,6 +736,25 @@ impl Verifier for ExactVerifier {
     }
 }
 
+/// The worker budget for a hash-based batch verification under `ctx`.
+/// With more than one worker, every candidate signature is first hashed to
+/// `verifier`'s scan depth (the parallel verifiers read a pre-hashed pool);
+/// `None` means verify on the caller's thread, extending signatures lazily.
+fn prehash(
+    ctx: &mut SearchContext<'_>,
+    candidates: &[(u32, u32)],
+    verifier: VerifierKind,
+) -> Option<usize> {
+    let threads = ctx.cfg.parallelism.resolve();
+    if threads <= 1 {
+        return None;
+    }
+    let ids = candidate_ids(candidates, ctx.data.len());
+    let depth = verifier.signature_depth(ctx.cfg);
+    ctx.pool.par_ensure_ids(ctx.data, &ids, depth, threads);
+    Some(threads)
+}
+
 /// Classical fixed-`n` MLE verification ("LSH Approx").
 struct MleVerifier;
 
@@ -758,42 +768,12 @@ impl Verifier for MleVerifier {
         ctx: &mut SearchContext<'_>,
         candidates: &[(u32, u32)],
     ) -> (Vec<(u32, u32, f64)>, Option<EngineStats>) {
-        let n = ctx.cfg.approx_hashes;
-        let t = ctx.cfg.threshold;
-        let threads = ctx.cfg.parallelism.resolve();
-        if threads > 1 {
-            let ids = candidate_ids(candidates, ctx.data.len());
-            ctx.pool.par_ensure_ids(ctx.data, &ids, n, threads);
-            let (pairs, _) = match ctx.cfg.family.measure() {
-                Measure::Cosine | Measure::Mips => {
-                    par_mle_verify(&*ctx.pool, candidates, n, t, r_to_cos, threads)
-                }
-                Measure::Jaccard => par_mle_verify(&*ctx.pool, candidates, n, t, |f| f, threads),
-                Measure::L2 => {
-                    let r = l2_width(ctx.cfg);
-                    par_mle_verify(
-                        &*ctx.pool,
-                        candidates,
-                        n,
-                        t,
-                        move |f| e2lsh_similarity_at(f, r),
-                        threads,
-                    )
-                }
-            };
-            return (pairs, None);
-        }
-        let (pairs, _) = match ctx.cfg.family.measure() {
-            Measure::Cosine | Measure::Mips => {
-                mle_verify(ctx.data, ctx.pool, candidates, n, t, r_to_cos)
-            }
-            Measure::Jaccard => mle_verify(ctx.data, ctx.pool, candidates, n, t, |f| f),
-            Measure::L2 => {
-                let r = l2_width(ctx.cfg);
-                mle_verify(ctx.data, ctx.pool, candidates, n, t, move |f| {
-                    e2lsh_similarity_at(f, r)
-                })
-            }
+        let cfg = ctx.cfg;
+        let (n, t) = (cfg.approx_hashes, cfg.threshold);
+        let transform = |frac| similarity_at(cfg, frac);
+        let (pairs, _) = match prehash(ctx, candidates, VerifierKind::Mle) {
+            Some(threads) => par_mle_verify(&*ctx.pool, candidates, n, t, transform, threads),
+            None => mle_verify(ctx.data, ctx.pool, candidates, n, t, transform),
         };
         (pairs, None)
     }
@@ -813,38 +793,10 @@ impl Verifier for BayesVerifier {
         candidates: &[(u32, u32)],
     ) -> (Vec<(u32, u32, f64)>, Option<EngineStats>) {
         let cfg = ctx.cfg.bayes();
-        let threads = ctx.cfg.parallelism.resolve();
-        if threads > 1 {
-            let depth = (cfg.max_hashes / cfg.k).max(1) * cfg.k;
-            let ids = candidate_ids(candidates, ctx.data.len());
-            ctx.pool.par_ensure_ids(ctx.data, &ids, depth, threads);
-            let (pairs, stats) = match ctx.cfg.family.measure() {
-                Measure::Cosine | Measure::Mips => {
-                    par_bayes_verify(&*ctx.pool, &CosineModel::new(), candidates, &cfg, threads)
-                }
-                Measure::Jaccard => {
-                    let model = fit_jaccard_prior(ctx.data, candidates, ctx.cfg);
-                    par_bayes_verify(&*ctx.pool, &model, candidates, &cfg, threads)
-                }
-                Measure::L2 => {
-                    let model = FamilyModel::new(ctx.cfg.family);
-                    par_bayes_verify(&*ctx.pool, &model, candidates, &cfg, threads)
-                }
-            };
-            return (pairs, Some(stats));
-        }
-        let (pairs, stats) = match ctx.cfg.family.measure() {
-            Measure::Cosine | Measure::Mips => {
-                bayes_verify(ctx.data, ctx.pool, &CosineModel::new(), candidates, &cfg)
-            }
-            Measure::Jaccard => {
-                let model = fit_jaccard_prior(ctx.data, candidates, ctx.cfg);
-                bayes_verify(ctx.data, ctx.pool, &model, candidates, &cfg)
-            }
-            Measure::L2 => {
-                let model = FamilyModel::new(ctx.cfg.family);
-                bayes_verify(ctx.data, ctx.pool, &model, candidates, &cfg)
-            }
+        let model = batch_model(ctx, candidates);
+        let (pairs, stats) = match prehash(ctx, candidates, VerifierKind::Bayes) {
+            Some(threads) => par_bayes_verify(&*ctx.pool, &*model, candidates, &cfg, threads),
+            None => bayes_verify(ctx.data, ctx.pool, &*model, candidates, &cfg),
         };
         (pairs, Some(stats))
     }
@@ -864,59 +816,15 @@ impl Verifier for BayesLiteVerifier {
         candidates: &[(u32, u32)],
     ) -> (Vec<(u32, u32, f64)>, Option<EngineStats>) {
         let cfg = ctx.cfg.lite();
-        let threads = ctx.cfg.parallelism.resolve();
-        if threads > 1 {
-            let depth = (cfg.h / cfg.k).max(1) * cfg.k;
-            let ids = candidate_ids(candidates, ctx.data.len());
-            ctx.pool.par_ensure_ids(ctx.data, &ids, depth, threads);
-            let (pairs, stats) = match ctx.cfg.family.measure() {
-                Measure::Cosine | Measure::Mips => par_bayes_verify_lite(
-                    ctx.data,
-                    &*ctx.pool,
-                    &CosineModel::new(),
-                    candidates,
-                    &cfg,
-                    cosine,
-                    threads,
-                ),
-                Measure::Jaccard => {
-                    let model = fit_jaccard_prior(ctx.data, candidates, ctx.cfg);
-                    par_bayes_verify_lite(
-                        ctx.data, &*ctx.pool, &model, candidates, &cfg, jaccard, threads,
-                    )
-                }
-                Measure::L2 => {
-                    let model = FamilyModel::new(ctx.cfg.family);
-                    par_bayes_verify_lite(
-                        ctx.data,
-                        &*ctx.pool,
-                        &model,
-                        candidates,
-                        &cfg,
-                        l2_similarity,
-                        threads,
-                    )
-                }
-            };
-            return (pairs, Some(stats));
-        }
-        let (pairs, stats) = match ctx.cfg.family.measure() {
-            Measure::Cosine | Measure::Mips => bayes_verify_lite(
-                ctx.data,
-                ctx.pool,
-                &CosineModel::new(),
-                candidates,
-                &cfg,
-                cosine,
-            ),
-            Measure::Jaccard => {
-                let model = fit_jaccard_prior(ctx.data, candidates, ctx.cfg);
-                bayes_verify_lite(ctx.data, ctx.pool, &model, candidates, &cfg, jaccard)
+        let model = batch_model(ctx, candidates);
+        let measure = ctx.cfg.family.measure();
+        let exact = |a: &SparseVector, b: &SparseVector| measure.eval(a, b);
+        let data = ctx.data;
+        let (pairs, stats) = match prehash(ctx, candidates, VerifierKind::BayesLite) {
+            Some(threads) => {
+                par_bayes_verify_lite(data, &*ctx.pool, &*model, candidates, &cfg, exact, threads)
             }
-            Measure::L2 => {
-                let model = FamilyModel::new(ctx.cfg.family);
-                bayes_verify_lite(ctx.data, ctx.pool, &model, candidates, &cfg, l2_similarity)
-            }
+            None => bayes_verify_lite(data, ctx.pool, &*model, candidates, &cfg, exact),
         };
         (pairs, Some(stats))
     }
@@ -935,63 +843,62 @@ impl Verifier for SprtVerifier {
         ctx: &mut SearchContext<'_>,
         candidates: &[(u32, u32)],
     ) -> (Vec<(u32, u32, f64)>, Option<EngineStats>) {
-        let cfg = ctx.cfg.sprt();
-        let threads = ctx.cfg.parallelism.resolve();
-        if threads > 1 {
-            let depth = (cfg.max_hashes / cfg.k).max(1) * cfg.k;
-            let ids = candidate_ids(candidates, ctx.data.len());
-            ctx.pool.par_ensure_ids(ctx.data, &ids, depth, threads);
-            let (pairs, stats) = match ctx.cfg.family.measure() {
-                Measure::Cosine | Measure::Mips => par_sprt_verify(
-                    ctx.data, &*ctx.pool, candidates, &cfg, cos_to_r, r_to_cos, cosine, threads,
-                ),
-                Measure::Jaccard => par_sprt_verify(
-                    ctx.data,
-                    &*ctx.pool,
-                    candidates,
-                    &cfg,
-                    |s| s,
-                    |f| f,
-                    jaccard,
-                    threads,
-                ),
-                Measure::L2 => {
-                    let r = l2_width(ctx.cfg);
-                    par_sprt_verify(
-                        ctx.data,
-                        &*ctx.pool,
-                        candidates,
-                        &cfg,
-                        move |s| e2lsh_collision(s, r),
-                        move |p| e2lsh_similarity_at(p, r),
-                        l2_similarity,
-                        threads,
-                    )
-                }
-            };
-            return (pairs, Some(stats));
-        }
-        let (pairs, stats) = match ctx.cfg.family.measure() {
-            Measure::Cosine | Measure::Mips => sprt_verify(
-                ctx.data, ctx.pool, candidates, &cfg, cos_to_r, r_to_cos, cosine,
+        let pipeline = ctx.cfg;
+        let cfg = pipeline.sprt();
+        let collision = |s| collision_at(pipeline, s);
+        let estimate = |frac| similarity_at(pipeline, frac);
+        let measure = pipeline.family.measure();
+        let exact = |a: &SparseVector, b: &SparseVector| measure.eval(a, b);
+        let data = ctx.data;
+        let (pairs, stats) = match prehash(ctx, candidates, VerifierKind::Sprt) {
+            Some(threads) => par_sprt_verify(
+                data, &*ctx.pool, candidates, &cfg, collision, estimate, exact, threads,
             ),
-            Measure::Jaccard => {
-                sprt_verify(ctx.data, ctx.pool, candidates, &cfg, |s| s, |f| f, jaccard)
-            }
-            Measure::L2 => {
-                let r = l2_width(ctx.cfg);
-                sprt_verify(
-                    ctx.data,
-                    ctx.pool,
-                    candidates,
-                    &cfg,
-                    move |s| e2lsh_collision(s, r),
-                    move |p| e2lsh_similarity_at(p, r),
-                    l2_similarity,
-                )
-            }
+            None => sprt_verify(data, ctx.pool, candidates, &cfg, collision, estimate, exact),
         };
         (pairs, Some(stats))
+    }
+}
+
+/// The posterior model of `cfg`'s hash family; Jaccard takes its prior
+/// from `jaccard` (fitted for batch joins, uniform for point queries).
+pub(crate) fn posterior_model(
+    cfg: &PipelineConfig,
+    jaccard: impl FnOnce() -> JaccardModel,
+) -> Box<dyn PosteriorModel + Send + Sync> {
+    match cfg.family.measure() {
+        Measure::Cosine | Measure::Mips => Box::new(CosineModel::new()),
+        Measure::Jaccard => Box::new(jaccard()),
+        Measure::L2 => Box::new(FamilyModel::new(cfg.family)),
+    }
+}
+
+/// The posterior model a batch verification over `candidates` uses: the
+/// Jaccard prior is fitted from a sample of them (per `cfg.prior`).
+fn batch_model(
+    ctx: &SearchContext<'_>,
+    candidates: &[(u32, u32)],
+) -> Box<dyn PosteriorModel + Send + Sync> {
+    posterior_model(ctx.cfg, || fit_jaccard_prior(ctx.data, candidates, ctx.cfg))
+}
+
+/// The per-hash agreement probability of a pair at similarity `s` under
+/// `cfg`'s hash family.
+pub(crate) fn collision_at(cfg: &PipelineConfig, s: f64) -> f64 {
+    match cfg.family.measure() {
+        Measure::Cosine | Measure::Mips => cos_to_r(s),
+        Measure::Jaccard => s,
+        Measure::L2 => e2lsh_collision(s, l2_width(cfg)),
+    }
+}
+
+/// The similarity a hash-agreement fraction estimates under `cfg`'s hash
+/// family (the inverse of [`collision_at`]).
+pub(crate) fn similarity_at(cfg: &PipelineConfig, frac: f64) -> f64 {
+    match cfg.family.measure() {
+        Measure::Cosine | Measure::Mips => r_to_cos(frac),
+        Measure::Jaccard => frac,
+        Measure::L2 => e2lsh_similarity_at(frac, l2_width(cfg)),
     }
 }
 

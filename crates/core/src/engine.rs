@@ -1,26 +1,27 @@
-//! The BayesLSH (Algorithm 1) and BayesLSH-Lite (Algorithm 2) inner loops.
+//! The serial batch verifiers: BayesLSH (Algorithm 1), BayesLSH-Lite
+//! (Algorithm 2) and SPRT over a candidate list, plus their statistics.
 //!
-//! Both engines walk a candidate list, comparing hashes `k` at a time
-//! through a lazily-extended [`SignaturePool`], pruning a pair as soon as
-//! its posterior probability of reaching the threshold drops below ε. Full
+//! All three walk the candidates, comparing hashes `k` at a time through a
+//! lazily-extended [`SignaturePool`], pruning a pair as soon as its
+//! posterior probability of reaching the threshold drops below ε. Full
 //! BayesLSH keeps comparing until the MAP estimate is `(δ, γ)`-concentrated
 //! and emits the estimate; Lite stops after at most `h` hashes and verifies
-//! survivors with an exact similarity computation.
+//! survivors with an exact similarity computation; SPRT accepts or prunes
+//! at Wald boundaries and verifies exactly what is undecided at its cap.
 //!
 //! Both Section 4.3 optimizations are applied: the pruning test is a
 //! [`MinMatchTable`] lookup and concentration checks go through the
-//! [`ConcentrationCache`]. Agreement counting is run-major and batched:
-//! candidates sharing a probe are swept together through
-//! [`SignaturePool::agreements_batched`], so the hot loop is word-parallel
-//! XOR + popcount with no per-pair allocation (see `RunScan`).
+//! [`crate::ConcentrationCache`]. The scan itself is the crate's one
+//! run-major verification scan (the private `scan` module); each function
+//! here only picks its decision rule.
 
 use bayeslsh_lsh::SignaturePool;
 use bayeslsh_sparse::{Dataset, SparseVector};
 
-use crate::cache::ConcentrationCache;
 use crate::config::{BayesLshConfig, LiteConfig, SprtConfig};
 use crate::minmatch::MinMatchTable;
 use crate::posterior::PosteriorModel;
+use crate::scan::{scan_pairs, Bayes, Lite, Sprt, WritePool};
 use crate::sprt::SprtTable;
 
 /// Counters describing one verification run; the source of the paper's
@@ -99,63 +100,23 @@ impl EngineStats {
     }
 }
 
-/// Outcome of one run member in a run-major batched scan.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) enum RunVerdict {
-    /// Still scanning (or, after the scan, survived every chunk).
-    #[default]
-    Pending,
-    /// Pruned by the posterior-tail test.
-    Pruned,
-    /// Accepted with this similarity estimate.
-    Emit(f64),
+/// The pruning table full BayesLSH scans with: `cfg.max_hashes` rounded
+/// down to whole chunks (at least one).
+pub(crate) fn bayes_table<M: PosteriorModel + ?Sized>(
+    model: &M,
+    cfg: &BayesLshConfig,
+) -> MinMatchTable {
+    cfg.validate();
+    let max_chunks = (cfg.max_hashes / cfg.k).max(1);
+    MinMatchTable::build(model, cfg.threshold, cfg.epsilon, cfg.k, max_chunks * cfg.k)
 }
 
-/// Reusable scratch for the run-major batched scans: the verify engines
-/// walk candidates in maximal runs sharing a probe `a` (the shape both
-/// all-pairs and sorted LSH generation emit) and count the probe against
-/// every still-alive partner with one [`SignaturePool::agreements_batched`]
-/// sweep per chunk. One `RunScan` is reused across all runs, so
-/// steady-state verification performs no per-pair allocation.
-///
-/// The batching only reorders *when* each pair's chunks are counted; every
-/// pair's `(m, n)` trajectory and verdict are identical to the
-/// pair-at-a-time loop, which keeps serial ≡ parallel bit-identical.
-#[derive(Debug, Default)]
-pub(crate) struct RunScan {
-    /// Offsets (into the current run) of pairs not yet pruned or accepted.
-    pub alive: Vec<u32>,
-    /// Partner ids of `alive`, in step — the batched sweep's id list.
-    pub alive_ids: Vec<u32>,
-    /// Per-chunk batched agreement counts, in step with `alive`.
-    pub counts: Vec<u32>,
-    /// Cumulative agreeing hashes per run member.
-    pub m: Vec<u32>,
-    /// Verdict per run member, emitted in candidate order after the run.
-    pub verdicts: Vec<RunVerdict>,
-}
-
-impl RunScan {
-    /// Prepare for a run of `len` pairs: everyone alive, zero matches.
-    pub(crate) fn reset(&mut self, len: usize) {
-        self.alive.clear();
-        self.alive.extend(0..len as u32);
-        self.m.clear();
-        self.m.resize(len, 0);
-        self.verdicts.clear();
-        self.verdicts.resize(len, RunVerdict::Pending);
-    }
-}
-
-/// Length of the maximal run of candidates sharing `candidates[i].0`.
-#[inline]
-pub(crate) fn run_end(candidates: &[(u32, u32)], i: usize) -> usize {
-    let a = candidates[i].0;
-    let mut j = i + 1;
-    while j < candidates.len() && candidates[j].0 == a {
-        j += 1;
-    }
-    j
+/// The pruning table BayesLSH-Lite scans with: `cfg.h` rounded down to
+/// whole chunks (at least one).
+pub(crate) fn lite_table<M: PosteriorModel + ?Sized>(model: &M, cfg: &LiteConfig) -> MinMatchTable {
+    cfg.validate();
+    let max_chunks = (cfg.h / cfg.k).max(1);
+    MinMatchTable::build(model, cfg.threshold, cfg.epsilon, cfg.k, max_chunks * cfg.k)
 }
 
 /// BayesLSH (paper Algorithm 1): prune or estimate every candidate pair.
@@ -165,98 +126,22 @@ pub(crate) fn run_end(candidates: &[(u32, u32)], i: usize) -> usize {
 /// being a true positive stays ≥ ε, even if the final estimate lands
 /// slightly below `t`.
 ///
-/// Candidates are scanned run-major (see `RunScan`): per chunk, one
-/// batched popcount sweep counts the shared probe against every surviving
-/// partner, so the steady-state cost per surviving pair is XOR + popcount
-/// per signature word, with no allocation.
-pub fn bayes_verify<P: SignaturePool, M: PosteriorModel>(
+/// Candidates are scanned run-major by the shared verification scan: per
+/// chunk, one batched popcount sweep counts the shared probe against every
+/// surviving partner, extending signatures lazily. There is no
+/// `depth_hint` here, deliberately: most signatures stay shallow (pruned
+/// after a chunk or two), so front-loading the cap would reserve
+/// ~max_chunks× the memory actually used.
+pub fn bayes_verify<P: SignaturePool, M: PosteriorModel + ?Sized>(
     data: &Dataset,
     pool: &mut P,
     model: &M,
     candidates: &[(u32, u32)],
     cfg: &BayesLshConfig,
 ) -> (Vec<(u32, u32, f64)>, EngineStats) {
-    cfg.validate();
-    let k = cfg.k;
-    let max_chunks = (cfg.max_hashes / k).max(1);
-    // No `depth_hint` here, deliberately: the whole point of the chunked
-    // scan is that most signatures stay shallow (pruned after a chunk or
-    // two), so front-loading the cap would reserve ~max_chunks× the memory
-    // actually used. The hot loop stays allocation-light through the hash
-    // kernels' reused scratch; the few deep signatures pay O(log chunks)
-    // amortized reallocations.
-    let table = MinMatchTable::build(model, cfg.threshold, cfg.epsilon, k, max_chunks * k);
-    let mut cache = ConcentrationCache::new(cfg.delta, cfg.gamma);
-
-    let mut stats = EngineStats {
-        input_pairs: candidates.len() as u64,
-        k,
-        pruned_at_chunk: vec![0; max_chunks as usize],
-        ..Default::default()
-    };
-    let mut out = Vec::new();
-
-    let mut scan = RunScan::default();
-    let mut i = 0usize;
-    while i < candidates.len() {
-        let j = run_end(candidates, i);
-        let run = &candidates[i..j];
-        let a = run[0].0;
-        let va = data.vector(a);
-        scan.reset(run.len());
-        let mut n = 0u32;
-        for c in 0..max_chunks {
-            if scan.alive.is_empty() {
-                break;
-            }
-            pool.ensure(a, va, n + k);
-            scan.alive_ids.clear();
-            for &r in &scan.alive {
-                let b = run[r as usize].1;
-                pool.ensure(b, data.vector(b), n + k);
-                scan.alive_ids.push(b);
-            }
-            pool.agreements_batched(a, &scan.alive_ids, n, n + k, &mut scan.counts);
-            n += k;
-            stats.hash_comparisons += k as u64 * scan.alive.len() as u64;
-            let mut kept = 0usize;
-            for t in 0..scan.alive.len() {
-                let r = scan.alive[t] as usize;
-                let m = scan.m[r] + scan.counts[t];
-                scan.m[r] = m;
-                if table.should_prune(m, n) {
-                    stats.pruned += 1;
-                    stats.pruned_at_chunk[c as usize] += 1;
-                    scan.verdicts[r] = RunVerdict::Pruned;
-                } else if cache.is_concentrated(model, m, n) {
-                    scan.verdicts[r] = RunVerdict::Emit(model.map_estimate(m, n));
-                    stats.accepted += 1;
-                } else {
-                    scan.alive[kept] = r as u32;
-                    kept += 1;
-                }
-            }
-            scan.alive.truncate(kept);
-        }
-        for &r in &scan.alive {
-            // Unconcentrated at the cap (n = max_hashes here): emit with
-            // the current estimate rather than dropping (preserves the
-            // recall guarantee).
-            scan.verdicts[r as usize] = RunVerdict::Emit(model.map_estimate(scan.m[r as usize], n));
-            stats.accepted += 1;
-            stats.forced_accepts += 1;
-        }
-        for (r, &(_, b)) in run.iter().enumerate() {
-            if let RunVerdict::Emit(est) = scan.verdicts[r] {
-                out.push((a, b, est));
-            }
-        }
-        i = j;
-    }
-    let (h, mi) = cache.stats();
-    stats.cache_hits = h;
-    stats.cache_misses = mi;
-    (out, stats)
+    let table = bayes_table(model, cfg);
+    let mut rule = Bayes::new(&table, model, cfg.delta, cfg.gamma);
+    scan_pairs(data, &mut WritePool(pool), candidates, &mut rule)
 }
 
 /// BayesLSH-Lite (paper Algorithm 2): prune with at most `h` hashes, verify
@@ -271,77 +156,12 @@ pub fn bayes_verify_lite<P, M, F>(
 ) -> (Vec<(u32, u32, f64)>, EngineStats)
 where
     P: SignaturePool,
-    M: PosteriorModel,
+    M: PosteriorModel + ?Sized,
     F: Fn(&SparseVector, &SparseVector) -> f64,
 {
-    cfg.validate();
-    let k = cfg.k;
-    let max_chunks = (cfg.h / k).max(1);
-    // No `depth_hint`: see `bayes_verify` — pruning keeps most signatures
-    // far below the cap.
-    let table = MinMatchTable::build(model, cfg.threshold, cfg.epsilon, k, max_chunks * k);
-
-    let mut stats = EngineStats {
-        input_pairs: candidates.len() as u64,
-        k,
-        pruned_at_chunk: vec![0; max_chunks as usize],
-        ..Default::default()
-    };
-    let mut out = Vec::new();
-
-    let mut scan = RunScan::default();
-    let mut i = 0usize;
-    while i < candidates.len() {
-        let j = run_end(candidates, i);
-        let run = &candidates[i..j];
-        let a = run[0].0;
-        let va = data.vector(a);
-        scan.reset(run.len());
-        let mut n = 0u32;
-        for c in 0..max_chunks {
-            if scan.alive.is_empty() {
-                break;
-            }
-            pool.ensure(a, va, n + k);
-            scan.alive_ids.clear();
-            for &r in &scan.alive {
-                let b = run[r as usize].1;
-                pool.ensure(b, data.vector(b), n + k);
-                scan.alive_ids.push(b);
-            }
-            pool.agreements_batched(a, &scan.alive_ids, n, n + k, &mut scan.counts);
-            n += k;
-            stats.hash_comparisons += k as u64 * scan.alive.len() as u64;
-            let mut kept = 0usize;
-            for t in 0..scan.alive.len() {
-                let r = scan.alive[t] as usize;
-                let m = scan.m[r] + scan.counts[t];
-                scan.m[r] = m;
-                if table.should_prune(m, n) {
-                    stats.pruned += 1;
-                    stats.pruned_at_chunk[c as usize] += 1;
-                    scan.verdicts[r] = RunVerdict::Pruned;
-                } else {
-                    scan.alive[kept] = r as u32;
-                    kept += 1;
-                }
-            }
-            scan.alive.truncate(kept);
-        }
-        // Survivors (still Pending) get the exact check, in candidate order.
-        for (r, &(_, b)) in run.iter().enumerate() {
-            if matches!(scan.verdicts[r], RunVerdict::Pending) {
-                stats.exact_verifications += 1;
-                let s = exact(va, data.vector(b));
-                if s >= cfg.threshold {
-                    out.push((a, b, s));
-                    stats.accepted += 1;
-                }
-            }
-        }
-        i = j;
-    }
-    (out, stats)
+    let table = lite_table(model, cfg);
+    let mut rule = Lite::new(&table, exact, cfg.threshold);
+    scan_pairs(data, &mut WritePool(pool), candidates, &mut rule)
 }
 
 /// SPRT verification: a Wald sequential test over each pair's agreement
@@ -371,78 +191,8 @@ where
     F: Fn(&SparseVector, &SparseVector) -> f64,
 {
     let table = SprtTable::build(cfg, collision);
-    let k = cfg.k;
-    let max_chunks = (cfg.max_hashes / k).max(1);
-
-    let mut stats = EngineStats {
-        input_pairs: candidates.len() as u64,
-        k,
-        pruned_at_chunk: vec![0; max_chunks as usize],
-        ..Default::default()
-    };
-    let mut out = Vec::new();
-
-    let mut scan = RunScan::default();
-    let mut i = 0usize;
-    while i < candidates.len() {
-        let j = run_end(candidates, i);
-        let run = &candidates[i..j];
-        let a = run[0].0;
-        let va = data.vector(a);
-        scan.reset(run.len());
-        let mut n = 0u32;
-        for c in 0..max_chunks {
-            if scan.alive.is_empty() {
-                break;
-            }
-            pool.ensure(a, va, n + k);
-            scan.alive_ids.clear();
-            for &r in &scan.alive {
-                let b = run[r as usize].1;
-                pool.ensure(b, data.vector(b), n + k);
-                scan.alive_ids.push(b);
-            }
-            pool.agreements_batched(a, &scan.alive_ids, n, n + k, &mut scan.counts);
-            n += k;
-            stats.hash_comparisons += k as u64 * scan.alive.len() as u64;
-            let mut kept = 0usize;
-            for t in 0..scan.alive.len() {
-                let r = scan.alive[t] as usize;
-                let m = scan.m[r] + scan.counts[t];
-                scan.m[r] = m;
-                if table.should_prune(m, n) {
-                    stats.pruned += 1;
-                    stats.pruned_at_chunk[c as usize] += 1;
-                    scan.verdicts[r] = RunVerdict::Pruned;
-                } else if table.should_accept(m, n) {
-                    scan.verdicts[r] = RunVerdict::Emit(estimate(m as f64 / n as f64));
-                    stats.accepted += 1;
-                } else {
-                    scan.alive[kept] = r as u32;
-                    kept += 1;
-                }
-            }
-            scan.alive.truncate(kept);
-        }
-        // Undecided at the cap (inside the indifference region): one exact
-        // check settles the pair, in candidate order.
-        for (r, &(_, b)) in run.iter().enumerate() {
-            match scan.verdicts[r] {
-                RunVerdict::Emit(est) => out.push((a, b, est)),
-                RunVerdict::Pending => {
-                    stats.exact_verifications += 1;
-                    let s = exact(va, data.vector(b));
-                    if s >= cfg.threshold {
-                        out.push((a, b, s));
-                        stats.accepted += 1;
-                    }
-                }
-                RunVerdict::Pruned => {}
-            }
-        }
-        i = j;
-    }
-    (out, stats)
+    let mut rule = Sprt::new(&table, cfg.max_hashes, estimate, exact, cfg.threshold);
+    scan_pairs(data, &mut WritePool(pool), candidates, &mut rule)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 use bayeslsh_lsh::SignaturePool;
 use bayeslsh_sparse::Dataset;
 
-use crate::engine::run_end;
+use crate::scan::run_end;
 
 /// Verify candidates with the classical MLE over a fixed `n_hashes`.
 ///
@@ -31,24 +31,35 @@ pub fn mle_verify<P: SignaturePool>(
     // Every candidate signature reaches exactly `n_hashes`: advise the pool
     // so first extensions allocate their whole signature once.
     pool.depth_hint(n_hashes);
+    for &(a, b) in candidates {
+        pool.ensure(a, data.vector(a), n_hashes);
+        pool.ensure(b, data.vector(b), n_hashes);
+    }
+    let out = mle_scan(pool, candidates, n_hashes, threshold, transform);
+    (out, candidates.len() as u64 * n_hashes as u64)
+}
+
+/// The MLE verdicts over a pool already hashed to `n_hashes` for every
+/// candidate: runs of candidates sharing a probe are counted in one
+/// batched word-parallel sweep over the full fixed depth.
+pub(crate) fn mle_scan<P: SignaturePool>(
+    pool: &P,
+    candidates: &[(u32, u32)],
+    n_hashes: u32,
+    threshold: f64,
+    transform: impl Fn(f64) -> f64,
+) -> Vec<(u32, u32, f64)> {
     let mut out = Vec::new();
     let mut ids = Vec::new();
     let mut counts = Vec::new();
     let mut i = 0usize;
     while i < candidates.len() {
-        // Runs of candidates sharing a probe are counted in one batched
-        // word-parallel sweep over the full fixed depth.
         let j = run_end(candidates, i);
-        let run = &candidates[i..j];
-        let a = run[0].0;
-        pool.ensure(a, data.vector(a), n_hashes);
+        let a = candidates[i].0;
         ids.clear();
-        for &(_, b) in run {
-            pool.ensure(b, data.vector(b), n_hashes);
-            ids.push(b);
-        }
+        ids.extend(candidates[i..j].iter().map(|&(_, b)| b));
         pool.agreements_batched(a, &ids, 0, n_hashes, &mut counts);
-        for (&(_, b), &m) in run.iter().zip(&counts) {
+        for (&b, &m) in ids.iter().zip(&counts) {
             let s_hat = transform(m as f64 / n_hashes as f64);
             if s_hat >= threshold {
                 out.push((a, b, s_hat));
@@ -56,7 +67,7 @@ pub fn mle_verify<P: SignaturePool>(
         }
         i = j;
     }
-    (out, candidates.len() as u64 * n_hashes as u64)
+    out
 }
 
 #[cfg(test)]

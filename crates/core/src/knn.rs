@@ -1,8 +1,8 @@
-//! k-nearest-neighbour retrieval with Bayesian candidate pruning — the
-//! paper's second future-work item ("a BayesLSH-Lite analogue can be
-//! developed for candidate pruning in the case of nearest neighbor
-//! retrieval (although the final distance may have to be calculated
-//! exactly)").
+//! Parameters and statistics of k-nearest-neighbour retrieval with
+//! Bayesian candidate pruning ([`crate::Searcher::top_k`]) — the paper's
+//! second future-work item ("a BayesLSH-Lite analogue can be developed for
+//! candidate pruning in the case of nearest neighbor retrieval (although
+//! the final distance may have to be calculated exactly)").
 //!
 //! The twist versus the all-pairs setting: there is no fixed threshold.
 //! Instead the *current k-th best similarity* plays the role of `t`, rising
@@ -10,14 +10,9 @@
 //! aggressive over a query. Because `t` changes, the `minMatches` table
 //! cannot be precomputed; the posterior tail is evaluated online (a few
 //! incomplete-beta calls per surviving candidate — cheap at query scale).
-//! Survivors get exact cosine computations, as the paper anticipates.
+//! Survivors get exact similarity computations, as the paper anticipates.
 
-use bayeslsh_candgen::{band_keys_bits, BandingIndex, BandingParams};
-use bayeslsh_lsh::{count_bit_agreements, BitSignatures, SignaturePool, SrpHasher};
-use bayeslsh_sparse::{cosine, Dataset, SparseVector};
-
-use crate::cosine_model::CosineModel;
-use crate::posterior::PosteriorModel;
+use crate::error::SearchError;
 
 /// Query-time parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,6 +28,33 @@ pub struct KnnParams {
     /// Minimum similarity of interest: used as the pruning threshold while
     /// fewer than `k` neighbours have been found.
     pub floor: f64,
+}
+
+impl KnnParams {
+    /// Check the parameters against their admissible ranges: `ε` in
+    /// `(0, 1)` and `h >= chunk >= 1`.
+    ///
+    /// # Errors
+    ///
+    /// [`SearchError::InvalidConfig`] naming the first offending parameter.
+    pub fn validate(&self) -> Result<(), SearchError> {
+        if !(self.epsilon > 0.0 && self.epsilon < 1.0) {
+            return Err(SearchError::invalid(
+                "epsilon",
+                format!("must lie in (0, 1), got {}", self.epsilon),
+            ));
+        }
+        if self.chunk < 1 || self.h < self.chunk {
+            return Err(SearchError::invalid(
+                "chunk",
+                format!(
+                    "need h >= chunk >= 1, got chunk {} h {}",
+                    self.chunk, self.h
+                ),
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl Default for KnnParams {
@@ -59,120 +81,8 @@ pub struct KnnStats {
     pub hash_comparisons: u64,
 }
 
-/// An LSH index over a dataset supporting Bayesian-pruned k-NN queries
-/// (cosine similarity).
-///
-/// This is the historical standalone k-NN entry point, now built on the
-/// same growable [`BandingIndex`] that powers
-/// [`crate::searcher::Searcher`] — which additionally serves threshold
-/// point queries, batch joins, Jaccard top-k, and incremental inserts, and
-/// is what new code should use.
-#[derive(Debug, Clone)]
-pub struct KnnIndex {
-    pool: BitSignatures,
-    index: BandingIndex,
-}
-
-impl KnnIndex {
-    /// Index `data` with `bands.l` bands of `bands.k` projection bits.
-    pub fn build(data: &Dataset, bands: BandingParams, seed: u64) -> Self {
-        assert!(bands.k <= 64);
-        let mut pool = BitSignatures::new(SrpHasher::new(data.dim(), seed), data.len());
-        let total = bands.total_hashes();
-        let mut index = BandingIndex::new(bands);
-        for (id, v) in data.iter() {
-            if v.is_empty() {
-                continue;
-            }
-            pool.ensure(id, v, total);
-            index.insert(id, &band_keys_bits(pool.raw_words(id), bands));
-        }
-        Self { pool, index }
-    }
-
-    /// The banding configuration in use.
-    pub fn bands(&self) -> BandingParams {
-        self.index.params()
-    }
-
-    /// Top-`k` most cosine-similar dataset vectors to `q`, sorted by
-    /// decreasing similarity, plus query statistics. Exact similarities
-    /// are returned for every reported neighbour.
-    pub fn query(
-        &mut self,
-        data: &Dataset,
-        q: &SparseVector,
-        k: usize,
-        params: &KnnParams,
-    ) -> (Vec<(u32, f64)>, KnnStats) {
-        assert!(k > 0);
-        assert!(params.epsilon > 0.0 && params.epsilon < 1.0);
-        assert!(params.chunk >= 1 && params.h >= params.chunk);
-        let mut stats = KnnStats::default();
-        if q.is_empty() || data.is_empty() {
-            return (Vec::new(), stats);
-        }
-
-        // Hash the query through the shared plane bank.
-        let bands = self.index.params();
-        let need = bands.total_hashes().max(params.h);
-        let mut q_words = Vec::new();
-        self.pool.hash_external(q, 0, need, &mut q_words);
-
-        // Probe each band for candidates.
-        let cand_ids = self.index.probe(&band_keys_bits(&q_words, bands));
-        stats.candidates = cand_ids.len() as u64;
-
-        // Bayesian-pruned scan with a rising threshold.
-        let model = CosineModel::new();
-        let max_chunks = params.h / params.chunk;
-        // Min-heap of the current top-k (similarity, id).
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<HeapItem>> =
-            std::collections::BinaryHeap::with_capacity(k + 1);
-        let mut kth_best = params.floor;
-
-        for id in cand_ids {
-            let v = data.vector(id);
-            self.pool.ensure(id, v, max_chunks * params.chunk);
-            let (mut m, mut n) = (0u32, 0u32);
-            let mut pruned = false;
-            for _ in 0..max_chunks {
-                m += count_bit_agreements(&q_words, self.pool.raw_words(id), n, n + params.chunk);
-                n += params.chunk;
-                stats.hash_comparisons += params.chunk as u64;
-                if model.prob_above_threshold(m, n, kth_best) < params.epsilon {
-                    pruned = true;
-                    break;
-                }
-            }
-            if pruned {
-                stats.pruned += 1;
-                continue;
-            }
-            stats.exact += 1;
-            let s = cosine(q, v);
-            if heap.len() < k {
-                heap.push(std::cmp::Reverse(HeapItem(s, id)));
-            } else if s > heap.peek().unwrap().0 .0 {
-                heap.pop();
-                heap.push(std::cmp::Reverse(HeapItem(s, id)));
-            }
-            if heap.len() == k {
-                kth_best = heap.peek().unwrap().0 .0.max(params.floor);
-            }
-        }
-
-        let mut out: Vec<(u32, f64)> = heap
-            .into_iter()
-            .map(|std::cmp::Reverse(HeapItem(s, id))| (id, s))
-            .collect();
-        out.sort_by(|a, b| b.1.total_cmp(&a.1));
-        (out, stats)
-    }
-}
-
-/// Total-ordered (similarity, id) pair for the top-k heaps (shared with
-/// [`crate::searcher::Searcher::top_k`]).
+/// Total-ordered (similarity, id) pair for the top-k heap of
+/// [`crate::searcher::Searcher::top_k`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct HeapItem(pub(crate) f64, pub(crate) u32);
 
@@ -187,154 +97,5 @@ impl PartialOrd for HeapItem {
 impl Ord for HeapItem {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use bayeslsh_numeric::Xoshiro256;
-
-    fn corpus(seed: u64) -> Dataset {
-        let mut rng = Xoshiro256::seed_from_u64(seed);
-        let mut d = Dataset::new(3000);
-        for c in 0..15 {
-            let center: Vec<(u32, f32)> = (0..40)
-                .map(|_| {
-                    (
-                        (c * 200 + rng.next_below(190) as usize) as u32,
-                        (rng.next_f64() + 0.3) as f32,
-                    )
-                })
-                .collect();
-            for _ in 0..8 {
-                let mut pairs = center.clone();
-                for p in pairs.iter_mut() {
-                    if rng.next_bool(0.2) {
-                        *p = (rng.next_below(3000) as u32, (rng.next_f64() + 0.3) as f32);
-                    }
-                }
-                d.push(SparseVector::from_pairs(pairs));
-            }
-        }
-        d
-    }
-
-    fn brute_top_k(data: &Dataset, q: &SparseVector, k: usize, skip: Option<u32>) -> Vec<u32> {
-        let mut sims: Vec<(u32, f64)> = data
-            .iter()
-            .filter(|&(id, _)| Some(id) != skip)
-            .map(|(id, v)| (id, cosine(q, v)))
-            .collect();
-        sims.sort_by(|a, b| b.1.total_cmp(&a.1));
-        sims.truncate(k);
-        sims.into_iter().map(|(id, _)| id).collect()
-    }
-
-    #[test]
-    fn finds_most_true_neighbours() {
-        let data = corpus(201);
-        let bands = BandingParams { k: 8, l: 40 };
-        let mut index = KnnIndex::build(&data, bands, 7);
-        let k = 5;
-        let mut hits = 0usize;
-        let mut total = 0usize;
-        for qid in (0..data.len() as u32).step_by(11) {
-            let q = data.vector(qid).clone();
-            let (got, _) = index.query(&data, &q, k + 1, &KnnParams::default());
-            // Self should be the top hit (cosine 1).
-            assert!(!got.is_empty());
-            assert_eq!(got[0].0, qid, "self must rank first");
-            let got_ids: std::collections::HashSet<u32> =
-                got.iter().skip(1).map(|&(id, _)| id).collect();
-            for t in brute_top_k(&data, &q, k, Some(qid)) {
-                total += 1;
-                if got_ids.contains(&t) {
-                    hits += 1;
-                }
-            }
-        }
-        let recall = hits as f64 / total as f64;
-        assert!(recall >= 0.75, "k-NN recall@{k} = {recall}");
-    }
-
-    #[test]
-    fn reported_similarities_are_exact_and_sorted() {
-        let data = corpus(202);
-        let mut index = KnnIndex::build(&data, BandingParams { k: 8, l: 30 }, 8);
-        let q = data.vector(3).clone();
-        let (got, _) = index.query(&data, &q, 10, &KnnParams::default());
-        for w in got.windows(2) {
-            assert!(w[0].1 >= w[1].1, "results must be sorted");
-        }
-        for &(id, s) in &got {
-            assert!((s - cosine(&q, data.vector(id))).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn pruning_actually_happens() {
-        let data = corpus(203);
-        let mut index = KnnIndex::build(&data, BandingParams { k: 6, l: 60 }, 9);
-        let q = data.vector(0).clone();
-        let (_, stats) = index.query(&data, &q, 3, &KnnParams::default());
-        assert!(stats.candidates > 20, "want a non-trivial candidate set");
-        assert!(stats.pruned > 0, "the Bayesian filter should prune");
-        assert!(
-            stats.exact < stats.candidates,
-            "exact computations {} should undercut candidates {}",
-            stats.exact,
-            stats.candidates
-        );
-    }
-
-    #[test]
-    fn handles_empty_query_and_small_k() {
-        let data = corpus(204);
-        let mut index = KnnIndex::build(&data, BandingParams { k: 8, l: 10 }, 10);
-        let (got, stats) = index.query(&data, &SparseVector::empty(), 5, &KnnParams::default());
-        assert!(got.is_empty());
-        assert_eq!(stats.candidates, 0);
-        let q = data.vector(1).clone();
-        let (one, _) = index.query(&data, &q, 1, &KnnParams::default());
-        assert_eq!(one.len(), 1);
-        assert_eq!(one[0].0, 1);
-    }
-
-    #[test]
-    fn rising_threshold_tightens_pruning() {
-        // With a higher floor the pruning threshold starts high, so more
-        // candidates die early.
-        let data = corpus(205);
-        let mut index = KnnIndex::build(&data, BandingParams { k: 6, l: 60 }, 11);
-        let q = data.vector(5).clone();
-        let lax = index
-            .query(
-                &data,
-                &q,
-                3,
-                &KnnParams {
-                    floor: 0.05,
-                    ..Default::default()
-                },
-            )
-            .1;
-        let strict = index
-            .query(
-                &data,
-                &q,
-                3,
-                &KnnParams {
-                    floor: 0.6,
-                    ..Default::default()
-                },
-            )
-            .1;
-        assert!(
-            strict.exact <= lax.exact,
-            "strict floor should not need more exact computations ({} vs {})",
-            strict.exact,
-            lax.exact
-        );
     }
 }

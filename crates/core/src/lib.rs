@@ -17,7 +17,9 @@
 //!   `minMatches(n)` tables and an `(m, n)`-indexed concentration cache.
 //! * [`engine`] — Algorithms 1 (BayesLSH) and 2 (BayesLSH-Lite), generic
 //!   over the hash family and prior, with the pruning statistics behind the
-//!   paper's Figure 4.
+//!   paper's Figure 4. Every hash-based verifier — batch or parallel join,
+//!   point query — runs one run-major scan loop; only its per-chunk
+//!   prune/accept/continue rule differs.
 //! * [`estimator`] — the classical fixed-`n` maximum-likelihood estimator
 //!   ("LSH Approx", Section 3), the baseline BayesLSH is measured against.
 //! * [`compose`] — the composable layer: [`compose::CandidateGenerator`] ×
@@ -39,9 +41,9 @@
 //! * [`bbit_model`] — BayesLSH over **b-bit minwise hashes** (Li & König,
 //!   the paper's reference \[15\]): a truncated posterior over the collision
 //!   probability `u = 2⁻ᵇ + (1 − 2⁻ᵇ)·J`.
-//! * [`knn`] — the paper's future-work item: **k-NN retrieval** where the
-//!   current k-th best similarity acts as a rising pruning threshold and
-//!   survivors are verified exactly.
+//! * [`knn`] — the paper's future-work item: **k-NN retrieval**
+//!   ([`Searcher::top_k`]) where the current k-th best similarity acts as a
+//!   rising pruning threshold and survivors are verified exactly.
 //! * [`sprt`] — an **adaptive SPRT verifier** (Wald sequential hypothesis
 //!   tests over the same agreement streams, after Chakrabarti &
 //!   Parthasarathy): per-chunk early-accept/early-prune integer boundaries
@@ -50,22 +52,32 @@
 
 //! ## Parallelism & determinism
 //!
-//! Every pipeline stage — signature hashing, banding-index construction,
-//! candidate generation, and verification — can fan out across worker
-//! threads ([`parallel`], built on `std::thread::scope`). The knob is
+//! The batch stages fan out across worker threads ([`parallel`], built on
+//! `std::thread::scope`): corpus hashing and banding-index construction
+//! when a [`Searcher`] is built, on [`Searcher::insert`] and on
+//! [`Searcher::compact`], and candidate generation plus verification in
+//! batch joins ([`Searcher::all_pairs`], [`run_composition`]). The knob is
 //! [`pipeline::PipelineConfig::parallelism`] /
 //! [`searcher::SearcherBuilder::parallelism`]; `Parallelism::Auto` (the
 //! default) resolves to the `BAYESLSH_THREADS` environment variable or the
 //! available cores, and `Parallelism::serial()` is the exact serial path.
-//! Whatever the thread count, batch and query output is **bit-identical to
-//! serial**: work is split into deterministic contiguous chunks, every
-//! worker computes a pure function of its chunk, and results merge in
-//! canonical order (`tests/parallel_equivalence.rs` pins this down for
-//! every named composition, the paper's eight plus the SPRT verifier). The
-//! only observable deltas are wall-clock time,
-//! per-worker concentration-cache hit/miss splits, and — under
-//! [`searcher::HashMode::Lazy`] — candidate signatures being pre-extended
-//! to the verifier's scan depth before a parallel verification.
+//!
+//! Point queries — [`Searcher::query`], [`Searcher::top_k`] and the
+//! scatter-gather hooks shard routers use — hash, probe and verify on the
+//! caller's thread whatever the budget: one query is too little work to
+//! amortize a fan-out. They take `&self`, so query throughput scales by
+//! calling them from several threads at once (as
+//! [`serving::ServingSearcher`] readers do).
+//!
+//! Whatever the thread count, output is **bit-identical to serial**: work
+//! is split into deterministic contiguous chunks, every worker computes a
+//! pure function of its chunk, and results merge in canonical order
+//! (`tests/parallel_equivalence.rs` pins this down for every named
+//! composition, the paper's eight plus the SPRT verifier). The only
+//! observable deltas are wall-clock time, per-worker concentration-cache
+//! hit/miss splits, and — under [`searcher::HashMode::Lazy`] — candidate
+//! signatures being pre-extended to the verifier's scan depth before a
+//! parallel join.
 
 pub mod bbit_model;
 pub mod cache;
@@ -84,6 +96,7 @@ pub mod parallel;
 pub mod persist;
 pub mod pipeline;
 pub mod posterior;
+mod scan;
 pub mod searcher;
 pub mod serving;
 pub mod sprt;
@@ -103,7 +116,7 @@ pub use error::{ConfigDiff, SearchError};
 pub use estimator::mle_verify;
 pub use family_model::FamilyModel;
 pub use jaccard_model::JaccardModel;
-pub use knn::{KnnIndex, KnnParams, KnnStats};
+pub use knn::{KnnParams, KnnStats};
 pub use metrics::{estimate_errors, recall_against, ErrorStats};
 pub use minmatch::{MinMatchCache, MinMatchTable};
 pub use parallel::{

@@ -24,7 +24,7 @@ pub struct MinMatchTable {
 impl MinMatchTable {
     /// Build the table for chunk size `k` up to `max_hashes` (rounded up to
     /// a multiple of `k`).
-    pub fn build<M: PosteriorModel>(
+    pub fn build<M: PosteriorModel + ?Sized>(
         model: &M,
         threshold: f64,
         epsilon: f64,
@@ -44,7 +44,7 @@ impl MinMatchTable {
 
     /// Smallest `m` such that `Pr[S ≥ t | M(m, n)] ≥ ε`, or `n + 1` if no
     /// such `m` exists.
-    fn search<M: PosteriorModel>(model: &M, t: f64, eps: f64, n: u32) -> u32 {
+    fn search<M: PosteriorModel + ?Sized>(model: &M, t: f64, eps: f64, n: u32) -> u32 {
         if model.prob_above_threshold(n, n, t) < eps {
             return n + 1;
         }
@@ -143,7 +143,7 @@ impl MinMatchCache {
     /// memoized no matter how many cold ones stream past. Concurrent first
     /// calls may build twice; the build is deterministic, so either result
     /// is the same table and the first insertion wins.
-    pub fn get_or_build<M: PosteriorModel>(
+    pub fn get_or_build<M: PosteriorModel + ?Sized>(
         &self,
         model: &M,
         threshold: f64,

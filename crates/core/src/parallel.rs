@@ -1,17 +1,17 @@
 //! Parallel verification drivers: the candidate-pair fan-out the paper's
 //! embarrassing parallelism invites.
 //!
-//! Every driver mirrors its serial engine exactly — same pruning table,
-//! same run-major batched agreement counting, same accept/prune decisions —
-//! but partitions
-//! the candidate list into contiguous chunks ([`bayeslsh_numeric::fan_out`])
-//! and merges the per-chunk outputs in chunk order. Because candidate lists
-//! are deterministic and every pair's verdict is a pure function of the
+//! The Bayes, Lite and SPRT verifiers here run the same run-major scan and
+//! decision rules as their serial engines, but partition the candidate list
+//! into contiguous chunks ([`bayeslsh_numeric::fan_out`]) and merge the
+//! per-chunk outputs in chunk order. Because candidate lists are
+//! deterministic and every pair's verdict is a pure function of the
 //! (read-only) signature pool, the merged output is **bit-identical to the
 //! serial engines** whatever the thread count. The one observable
 //! difference is bookkeeping the paper treats as advisory: each worker
-//! keeps its own [`ConcentrationCache`], so cache hit/miss counts depend on
-//! the partition (decisions do not — the cache memoizes a pure function).
+//! keeps its own [`crate::ConcentrationCache`], so cache hit/miss counts
+//! depend on the partition (decisions do not — the cache memoizes a pure
+//! function).
 //!
 //! Unlike the lazily-extending serial engines, these drivers take the pool
 //! by shared reference and **require every candidate signature to be
@@ -28,11 +28,11 @@ use bayeslsh_lsh::{Measure, SignaturePool};
 use bayeslsh_numeric::fan_out;
 use bayeslsh_sparse::{Dataset, SparseVector};
 
-use crate::cache::ConcentrationCache;
 use crate::config::{BayesLshConfig, LiteConfig, SprtConfig};
-use crate::engine::{run_end, EngineStats, RunScan, RunVerdict};
-use crate::minmatch::MinMatchTable;
+use crate::engine::{bayes_table, lite_table, EngineStats};
+use crate::estimator::mle_scan;
 use crate::posterior::PosteriorModel;
+use crate::scan::{par_scan_pairs, Bayes, Lite, Sprt};
 use crate::sprt::SprtTable;
 
 /// The distinct object ids appearing in `candidates`, in first-encounter
@@ -93,35 +93,10 @@ where
     P: SignaturePool + Sync,
 {
     assert!(n_hashes > 0);
-    let transform = &transform;
-    let pairs: Vec<(u32, u32, f64)> = fan_out(candidates.len(), threads, |_, range| {
-        let slice = &candidates[range];
-        let mut out = Vec::new();
-        let mut ids = Vec::new();
-        let mut counts = Vec::new();
-        let mut i = 0usize;
-        while i < slice.len() {
-            // One batched sweep counts the run's probe against every
-            // partner over the full fixed depth.
-            let j = run_end(slice, i);
-            let run = &slice[i..j];
-            let a = run[0].0;
-            ids.clear();
-            ids.extend(run.iter().map(|&(_, b)| b));
-            pool.agreements_batched(a, &ids, 0, n_hashes, &mut counts);
-            for (&(_, b), &m) in run.iter().zip(&counts) {
-                let s_hat = transform(m as f64 / n_hashes as f64);
-                if s_hat >= threshold {
-                    out.push((a, b, s_hat));
-                }
-            }
-            i = j;
-        }
-        out
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+    let pairs = fan_out(candidates.len(), threads, |_, range| {
+        mle_scan(pool, &candidates[range], n_hashes, threshold, &transform)
+    });
+    let pairs = pairs.into_iter().flatten().collect();
     (pairs, candidates.len() as u64 * n_hashes as u64)
 }
 
@@ -138,83 +113,14 @@ pub fn par_bayes_verify<P, M>(
 ) -> (Vec<(u32, u32, f64)>, EngineStats)
 where
     P: SignaturePool + Sync,
-    M: PosteriorModel + Sync,
+    M: PosteriorModel + Sync + ?Sized,
 {
-    cfg.validate();
-    let k = cfg.k;
-    let max_chunks = (cfg.max_hashes / k).max(1);
-    let table = MinMatchTable::build(model, cfg.threshold, cfg.epsilon, k, max_chunks * k);
-    let table = &table;
-
-    let results = fan_out(candidates.len(), threads, |_, range| {
-        let mut cache = ConcentrationCache::new(cfg.delta, cfg.gamma);
-        let mut stats = EngineStats {
-            k,
-            pruned_at_chunk: vec![0; max_chunks as usize],
-            ..Default::default()
-        };
-        let mut out = Vec::new();
-        // Run-major batched scan: identical per-pair (m, n) trajectories to
-        // the serial engine, just counted a run at a time. The pool is
-        // pre-extended, so no `ensure` calls here.
-        let slice = &candidates[range];
-        let mut scan = RunScan::default();
-        let mut i = 0usize;
-        while i < slice.len() {
-            let j = run_end(slice, i);
-            let run = &slice[i..j];
-            let a = run[0].0;
-            scan.reset(run.len());
-            let mut n = 0u32;
-            for c in 0..max_chunks {
-                if scan.alive.is_empty() {
-                    break;
-                }
-                scan.alive_ids.clear();
-                scan.alive_ids
-                    .extend(scan.alive.iter().map(|&r| run[r as usize].1));
-                pool.agreements_batched(a, &scan.alive_ids, n, n + k, &mut scan.counts);
-                n += k;
-                stats.hash_comparisons += k as u64 * scan.alive.len() as u64;
-                let mut kept = 0usize;
-                for t in 0..scan.alive.len() {
-                    let r = scan.alive[t] as usize;
-                    let m = scan.m[r] + scan.counts[t];
-                    scan.m[r] = m;
-                    if table.should_prune(m, n) {
-                        stats.pruned += 1;
-                        stats.pruned_at_chunk[c as usize] += 1;
-                        scan.verdicts[r] = RunVerdict::Pruned;
-                    } else if cache.is_concentrated(model, m, n) {
-                        scan.verdicts[r] = RunVerdict::Emit(model.map_estimate(m, n));
-                        stats.accepted += 1;
-                    } else {
-                        scan.alive[kept] = r as u32;
-                        kept += 1;
-                    }
-                }
-                scan.alive.truncate(kept);
-            }
-            for &r in &scan.alive {
-                scan.verdicts[r as usize] =
-                    RunVerdict::Emit(model.map_estimate(scan.m[r as usize], n));
-                stats.accepted += 1;
-                stats.forced_accepts += 1;
-            }
-            for (r, &(_, b)) in run.iter().enumerate() {
-                if let RunVerdict::Emit(est) = scan.verdicts[r] {
-                    out.push((a, b, est));
-                }
-            }
-            i = j;
-        }
-        let (hits, misses) = cache.stats();
-        stats.cache_hits = hits;
-        stats.cache_misses = misses;
-        (out, stats)
-    });
-
-    merge(candidates.len() as u64, k, max_chunks, results)
+    let table = bayes_table(model, cfg);
+    // BayesLSH reads no vectors: the pool is pre-hashed, and every pair is
+    // settled from its hashes (no exact check), so the corpus stays empty.
+    par_scan_pairs(&Dataset::new(0), pool, candidates, threads, || {
+        Bayes::new(&table, model, cfg.delta, cfg.gamma)
+    })
 }
 
 /// Parallel BayesLSH-Lite (Algorithm 2). Signatures must already cover the
@@ -231,77 +137,13 @@ pub fn par_bayes_verify_lite<P, M, F>(
 ) -> (Vec<(u32, u32, f64)>, EngineStats)
 where
     P: SignaturePool + Sync,
-    M: PosteriorModel + Sync,
+    M: PosteriorModel + Sync + ?Sized,
     F: Fn(&SparseVector, &SparseVector) -> f64 + Sync,
 {
-    cfg.validate();
-    let k = cfg.k;
-    let max_chunks = (cfg.h / k).max(1);
-    let table = MinMatchTable::build(model, cfg.threshold, cfg.epsilon, k, max_chunks * k);
-    let (table, exact) = (&table, &exact);
-
-    let results = fan_out(candidates.len(), threads, |_, range| {
-        let mut stats = EngineStats {
-            k,
-            pruned_at_chunk: vec![0; max_chunks as usize],
-            ..Default::default()
-        };
-        let mut out = Vec::new();
-        // Same run-major batched scan as the Bayes driver, prune-only;
-        // survivors (still `Pending`) get the exact check in candidate
-        // order.
-        let slice = &candidates[range];
-        let mut scan = RunScan::default();
-        let mut i = 0usize;
-        while i < slice.len() {
-            let j = run_end(slice, i);
-            let run = &slice[i..j];
-            let a = run[0].0;
-            let va = data.vector(a);
-            scan.reset(run.len());
-            let mut n = 0u32;
-            for c in 0..max_chunks {
-                if scan.alive.is_empty() {
-                    break;
-                }
-                scan.alive_ids.clear();
-                scan.alive_ids
-                    .extend(scan.alive.iter().map(|&r| run[r as usize].1));
-                pool.agreements_batched(a, &scan.alive_ids, n, n + k, &mut scan.counts);
-                n += k;
-                stats.hash_comparisons += k as u64 * scan.alive.len() as u64;
-                let mut kept = 0usize;
-                for t in 0..scan.alive.len() {
-                    let r = scan.alive[t] as usize;
-                    let m = scan.m[r] + scan.counts[t];
-                    scan.m[r] = m;
-                    if table.should_prune(m, n) {
-                        stats.pruned += 1;
-                        stats.pruned_at_chunk[c as usize] += 1;
-                        scan.verdicts[r] = RunVerdict::Pruned;
-                    } else {
-                        scan.alive[kept] = r as u32;
-                        kept += 1;
-                    }
-                }
-                scan.alive.truncate(kept);
-            }
-            for (r, &(_, b)) in run.iter().enumerate() {
-                if matches!(scan.verdicts[r], RunVerdict::Pending) {
-                    stats.exact_verifications += 1;
-                    let s = exact(va, data.vector(b));
-                    if s >= cfg.threshold {
-                        out.push((a, b, s));
-                        stats.accepted += 1;
-                    }
-                }
-            }
-            i = j;
-        }
-        (out, stats)
-    });
-
-    merge(candidates.len() as u64, k, max_chunks, results)
+    let table = lite_table(model, cfg);
+    par_scan_pairs(data, pool, candidates, threads, || {
+        Lite::new(&table, &exact, cfg.threshold)
+    })
 }
 
 /// Parallel SPRT verification. Signatures must already cover the scan
@@ -325,114 +167,25 @@ where
     F: Fn(&SparseVector, &SparseVector) -> f64 + Sync,
 {
     let table = SprtTable::build(cfg, collision);
-    let k = cfg.k;
-    let max_chunks = (cfg.max_hashes / k).max(1);
-    let (table, estimate, exact) = (&table, &estimate, &exact);
-
-    let results = fan_out(candidates.len(), threads, |_, range| {
-        let mut stats = EngineStats {
-            k,
-            pruned_at_chunk: vec![0; max_chunks as usize],
-            ..Default::default()
-        };
-        let mut out = Vec::new();
-        // Same run-major batched scan as the serial engine; the pool is
-        // pre-extended, so no `ensure` calls here.
-        let slice = &candidates[range];
-        let mut scan = RunScan::default();
-        let mut i = 0usize;
-        while i < slice.len() {
-            let j = run_end(slice, i);
-            let run = &slice[i..j];
-            let a = run[0].0;
-            let va = data.vector(a);
-            scan.reset(run.len());
-            let mut n = 0u32;
-            for c in 0..max_chunks {
-                if scan.alive.is_empty() {
-                    break;
-                }
-                scan.alive_ids.clear();
-                scan.alive_ids
-                    .extend(scan.alive.iter().map(|&r| run[r as usize].1));
-                pool.agreements_batched(a, &scan.alive_ids, n, n + k, &mut scan.counts);
-                n += k;
-                stats.hash_comparisons += k as u64 * scan.alive.len() as u64;
-                let mut kept = 0usize;
-                for t in 0..scan.alive.len() {
-                    let r = scan.alive[t] as usize;
-                    let m = scan.m[r] + scan.counts[t];
-                    scan.m[r] = m;
-                    if table.should_prune(m, n) {
-                        stats.pruned += 1;
-                        stats.pruned_at_chunk[c as usize] += 1;
-                        scan.verdicts[r] = RunVerdict::Pruned;
-                    } else if table.should_accept(m, n) {
-                        scan.verdicts[r] = RunVerdict::Emit(estimate(m as f64 / n as f64));
-                        stats.accepted += 1;
-                    } else {
-                        scan.alive[kept] = r as u32;
-                        kept += 1;
-                    }
-                }
-                scan.alive.truncate(kept);
-            }
-            for (r, &(_, b)) in run.iter().enumerate() {
-                match scan.verdicts[r] {
-                    RunVerdict::Emit(est) => out.push((a, b, est)),
-                    RunVerdict::Pending => {
-                        stats.exact_verifications += 1;
-                        let s = exact(va, data.vector(b));
-                        if s >= cfg.threshold {
-                            out.push((a, b, s));
-                            stats.accepted += 1;
-                        }
-                    }
-                    RunVerdict::Pruned => {}
-                }
-            }
-            i = j;
-        }
-        (out, stats)
-    });
-
-    merge(candidates.len() as u64, k, max_chunks, results)
-}
-
-/// One worker's verification output: surviving pairs plus its counters.
-type ChunkResult = (Vec<(u32, u32, f64)>, EngineStats);
-
-/// Merge per-chunk verification results in chunk order: outputs
-/// concatenate (preserving candidate order), counters add.
-fn merge(
-    input_pairs: u64,
-    k: u32,
-    max_chunks: u32,
-    results: Vec<ChunkResult>,
-) -> (Vec<(u32, u32, f64)>, EngineStats) {
-    let mut pairs = Vec::new();
-    let mut stats = EngineStats {
-        input_pairs,
-        k,
-        pruned_at_chunk: vec![0; max_chunks as usize],
-        ..Default::default()
-    };
-    for (chunk_pairs, chunk_stats) in results {
-        pairs.extend(chunk_pairs);
-        stats.absorb(&chunk_stats);
-    }
-    (pairs, stats)
+    par_scan_pairs(data, pool, candidates, threads, || {
+        Sprt::new(&table, cfg.max_hashes, &estimate, &exact, cfg.threshold)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compose::SigPool;
     use crate::cosine_model::CosineModel;
     use crate::engine::{bayes_verify, bayes_verify_lite, sprt_verify};
     use crate::estimator::mle_verify;
-    use bayeslsh_lsh::{cos_to_r, r_to_cos, BitSignatures, SrpHasher};
+    use crate::family_model::FamilyModel;
+    use crate::jaccard_model::JaccardModel;
+    use crate::pipeline::PipelineConfig;
+    use bayeslsh_lsh::{
+        cos_to_r, e2lsh_collision, e2lsh_similarity_at, r_to_cos, BitSignatures, SrpHasher,
+    };
     use bayeslsh_numeric::Xoshiro256;
-    use bayeslsh_sparse::cosine;
 
     fn corpus(seed: u64) -> Dataset {
         let mut rng = Xoshiro256::seed_from_u64(seed);
@@ -475,62 +228,119 @@ mod tests {
         assert_eq!(ids, vec![3, 1, 2, 0]);
     }
 
-    #[test]
-    fn parallel_drivers_match_serial_engines() {
-        let data = corpus(401);
-        let cands = all_pairs(data.len() as u32);
-        let cfg = BayesLshConfig::cosine(0.7);
-        let lite = LiteConfig::cosine(0.7);
-        let model = CosineModel::new();
+    /// Every [`EngineStats`] field except the per-worker concentration-cache
+    /// hit/miss split, which depends on the partition by design.
+    fn assert_same_counters(got: &EngineStats, want: &EngineStats, what: &str) {
+        assert_eq!(got.input_pairs, want.input_pairs, "{what}: input_pairs");
+        assert_eq!(got.pruned, want.pruned, "{what}: pruned");
+        assert_eq!(got.accepted, want.accepted, "{what}: accepted");
+        assert_eq!(got.forced_accepts, want.forced_accepts, "{what}: forced");
+        assert_eq!(
+            got.exact_verifications, want.exact_verifications,
+            "{what}: exact_verifications"
+        );
+        assert_eq!(
+            got.hash_comparisons, want.hash_comparisons,
+            "{what}: hash_comparisons"
+        );
+        assert_eq!(got.k, want.k, "{what}: k");
+        assert_eq!(
+            got.pruned_at_chunk, want.pruned_at_chunk,
+            "{what}: pruned_at_chunk"
+        );
+        assert_eq!(
+            got.bucket_probes, want.bucket_probes,
+            "{what}: bucket_probes"
+        );
+    }
 
-        // Serial references (lazily extending pools).
-        let mut pool = BitSignatures::new(SrpHasher::new(data.dim(), 402), data.len());
-        let (serial_bayes, serial_bayes_stats) =
-            bayes_verify(&data, &mut pool, &model, &cands, &cfg);
-        let mut pool = BitSignatures::new(SrpHasher::new(data.dim(), 402), data.len());
-        let (serial_lite, serial_lite_stats) =
-            bayes_verify_lite(&data, &mut pool, &model, &cands, &lite, cosine);
-        let mut pool = BitSignatures::new(SrpHasher::new(data.dim(), 402), data.len());
-        let (serial_mle, serial_comps) = mle_verify(&data, &mut pool, &cands, 256, 0.7, r_to_cos);
-        let sprt = SprtConfig::cosine(0.7);
-        let mut pool = BitSignatures::new(SrpHasher::new(data.dim(), 402), data.len());
-        let (serial_sprt, serial_sprt_stats) =
-            sprt_verify(&data, &mut pool, &cands, &sprt, cos_to_r, r_to_cos, cosine);
+    /// Bayes, Lite and SPRT under `cfg`'s hash family: the parallel verifiers
+    /// over a pre-hashed pool must reproduce the lazily-extending serial
+    /// engines' pairs and counters at threads 1, 2, 4 and 8.
+    fn check_family<M: PosteriorModel + Sync>(
+        data: &Dataset,
+        cfg: &PipelineConfig,
+        model: &M,
+        collision: impl Fn(f64) -> f64 + Copy,
+        estimate: impl Fn(f64) -> f64 + Copy + Sync,
+    ) {
+        let cands = all_pairs(data.len() as u32);
+        let measure = cfg.family.measure();
+        let exact = |a: &SparseVector, b: &SparseVector| measure.eval(a, b);
+        let (bayes, lite, sprt) = (cfg.bayes(), cfg.lite(), cfg.sprt());
+        let pool = || SigPool::for_config(cfg, data);
+
+        let serial_bayes = bayes_verify(data, &mut pool(), model, &cands, &bayes);
+        let serial_lite = bayes_verify_lite(data, &mut pool(), model, &cands, &lite, exact);
+        let serial_sprt = sprt_verify(data, &mut pool(), &cands, &sprt, collision, estimate, exact);
+        for (name, (pairs, stats)) in [
+            ("bayes", &serial_bayes),
+            ("lite", &serial_lite),
+            ("sprt", &serial_sprt),
+        ] {
+            assert!(
+                !pairs.is_empty() && stats.pruned > 0,
+                "{measure} {name}: the corpus must exercise both verdicts"
+            );
+        }
 
         let ids = candidate_ids(&cands, data.len());
         for threads in [1usize, 2, 4, 8] {
-            let mut pool = BitSignatures::new(SrpHasher::new(data.dim(), 402), data.len());
-            pool.par_ensure_ids(&data, &ids, cfg.max_hashes, threads);
-            let (pairs, stats) = par_bayes_verify(&pool, &model, &cands, &cfg, threads);
-            assert_eq!(pairs, serial_bayes, "bayes pairs, threads {threads}");
-            assert_eq!(stats.pruned, serial_bayes_stats.pruned);
-            assert_eq!(stats.accepted, serial_bayes_stats.accepted);
-            assert_eq!(stats.forced_accepts, serial_bayes_stats.forced_accepts);
-            assert_eq!(stats.hash_comparisons, serial_bayes_stats.hash_comparisons);
-            assert_eq!(stats.pruned_at_chunk, serial_bayes_stats.pruned_at_chunk);
+            let mut hashed = pool();
+            hashed.par_ensure_ids(data, &ids, cfg.max_hashes, threads);
+            let what = format!("{measure} bayes, threads {threads}");
+            let (pairs, stats) = par_bayes_verify(&hashed, model, &cands, &bayes, threads);
+            assert_eq!(pairs, serial_bayes.0, "{what}");
+            assert_same_counters(&stats, &serial_bayes.1, &what);
 
+            let what = format!("{measure} lite, threads {threads}");
             let (pairs, stats) =
-                par_bayes_verify_lite(&data, &pool, &model, &cands, &lite, cosine, threads);
-            assert_eq!(pairs, serial_lite, "lite pairs, threads {threads}");
-            assert_eq!(stats.pruned, serial_lite_stats.pruned);
-            assert_eq!(
-                stats.exact_verifications,
-                serial_lite_stats.exact_verifications
-            );
+                par_bayes_verify_lite(data, &hashed, model, &cands, &lite, exact, threads);
+            assert_eq!(pairs, serial_lite.0, "{what}");
+            assert_same_counters(&stats, &serial_lite.1, &what);
 
+            let what = format!("{measure} sprt, threads {threads}");
             let (pairs, stats) = par_sprt_verify(
-                &data, &pool, &cands, &sprt, cos_to_r, r_to_cos, cosine, threads,
+                data, &hashed, &cands, &sprt, collision, estimate, exact, threads,
             );
-            assert_eq!(pairs, serial_sprt, "sprt pairs, threads {threads}");
-            assert_eq!(stats.pruned, serial_sprt_stats.pruned);
-            assert_eq!(stats.accepted, serial_sprt_stats.accepted);
-            assert_eq!(
-                stats.exact_verifications,
-                serial_sprt_stats.exact_verifications
-            );
-            assert_eq!(stats.hash_comparisons, serial_sprt_stats.hash_comparisons);
-            assert_eq!(stats.pruned_at_chunk, serial_sprt_stats.pruned_at_chunk);
+            assert_eq!(pairs, serial_sprt.0, "{what}");
+            assert_same_counters(&stats, &serial_sprt.1, &what);
+        }
+    }
 
+    #[test]
+    fn parallel_drivers_match_serial_engines() {
+        let data = corpus(401);
+        check_family(
+            &data,
+            &PipelineConfig::cosine(0.7),
+            &CosineModel::new(),
+            cos_to_r,
+            r_to_cos,
+        );
+        check_family(
+            &data.binarized(),
+            &PipelineConfig::jaccard(0.5),
+            &JaccardModel::uniform(),
+            |s| s,
+            |f| f,
+        );
+        let l2 = PipelineConfig::l2(0.25, 4.0);
+        check_family(
+            &data,
+            &l2,
+            &FamilyModel::new(l2.family),
+            |s| e2lsh_collision(s, 4.0),
+            |f| e2lsh_similarity_at(f, 4.0),
+        );
+
+        // MLE and exact verification (cosine).
+        let cands = all_pairs(data.len() as u32);
+        let mut pool = BitSignatures::new(SrpHasher::new(data.dim(), 402), data.len());
+        let (serial_mle, serial_comps) = mle_verify(&data, &mut pool, &cands, 256, 0.7, r_to_cos);
+        let serial_exact = par_exact_verify(&data, Measure::Cosine, 0.7, &cands, 1);
+        let ids = candidate_ids(&cands, data.len());
+        for threads in [1usize, 2, 4, 8] {
             let mut mle_pool = BitSignatures::new(SrpHasher::new(data.dim(), 402), data.len());
             mle_pool.par_ensure_ids(&data, &ids, 256, threads);
             let (pairs, comps) = par_mle_verify(&mle_pool, &cands, 256, 0.7, r_to_cos, threads);
@@ -538,7 +348,6 @@ mod tests {
             assert_eq!(comps, serial_comps);
 
             let exact = par_exact_verify(&data, Measure::Cosine, 0.7, &cands, threads);
-            let serial_exact = par_exact_verify(&data, Measure::Cosine, 0.7, &cands, 1);
             assert_eq!(exact, serial_exact);
         }
     }

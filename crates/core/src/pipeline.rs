@@ -178,11 +178,15 @@ pub struct PipelineConfig {
     /// same recall. Only bit families (cosine / MIPS) perturb keys;
     /// integer-hash families treat any value as 1.
     pub probes: usize,
-    /// Worker-thread budget for hashing, banding-index construction, and
-    /// candidate verification. Output is bit-identical to the serial path
-    /// whatever the setting (see the crate's "Parallelism & determinism"
-    /// docs); the default [`Parallelism::Auto`] resolves to
-    /// `BAYESLSH_THREADS` or the available cores.
+    /// Worker-thread budget for the batch stages: corpus hashing and
+    /// banding-index construction at build, insert and compaction, and
+    /// candidate generation and verification in batch joins. Point queries
+    /// (threshold and top-k) run on the caller's thread whatever the
+    /// setting; serve concurrent queries by calling them from several
+    /// threads. Output is bit-identical to the serial path at any budget
+    /// (see the crate's "Parallelism & determinism" docs); the default
+    /// [`Parallelism::Auto`] resolves to `BAYESLSH_THREADS` or the
+    /// available cores.
     pub parallelism: Parallelism,
 }
 
@@ -271,15 +275,6 @@ impl PipelineConfig {
             family: FamilyConfig::Mips,
             ..Self::cosine(threshold)
         }
-    }
-
-    /// Compatibility shim from the era when the pipeline was configured by
-    /// bare [`Measure`]: replaces [`PipelineConfig::family`] with that
-    /// measure's default family parameters.
-    #[deprecated(note = "set the `family` field (a `FamilyConfig`) directly")]
-    pub fn measure(mut self, measure: Measure) -> Self {
-        self.family = FamilyConfig::for_measure(measure);
-        self
     }
 
     /// Check every parameter against its admissible range, with a

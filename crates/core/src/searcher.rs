@@ -9,8 +9,7 @@
 //!   configured [`Composition`];
 //! * [`Searcher::query`] — threshold point queries for one vector;
 //! * [`Searcher::top_k`] — k-nearest-neighbour retrieval with Bayesian
-//!   candidate pruning (the paper's future-work item, previously siloed in
-//!   [`crate::knn::KnnIndex`]);
+//!   candidate pruning (the paper's future-work item; see [`crate::knn`]);
 //! * [`Searcher::insert`] — incremental corpus growth, extending the
 //!   signature pool and banding index in place.
 //!
@@ -22,14 +21,16 @@
 //! the signatures that surviving candidates demand (amortized across
 //! queries — a signature is never re-hashed).
 //!
-//! Builds, batch joins, point queries, and inserts all fan out across the
-//! worker budget set by [`SearcherBuilder::parallelism`] (resolved once at
-//! build; see [`Searcher::threads`]). Output is bit-identical to the
-//! serial path at any thread count. Two cost caveats: under
-//! [`HashMode::Lazy`] a parallel verification pre-extends candidate
-//! signatures to the verifier's scan depth (eager builds already pay it),
-//! and [`Searcher::top_k`]'s rising-threshold prune runs sequentially by
-//! design while its hashing/probing phases parallelize.
+//! Builds, inserts, [`Searcher::compact`] and batch joins fan out across
+//! the worker budget set by [`SearcherBuilder::parallelism`] (resolved once
+//! at build; see [`Searcher::threads`]); output is bit-identical to the
+//! serial path at any thread count. One cost caveat: under
+//! [`HashMode::Lazy`] a parallel join pre-extends candidate signatures to
+//! the verifier's scan depth (eager builds already pay it). Point queries
+//! — [`Searcher::query`] and [`Searcher::top_k`] — hash, probe and verify
+//! on the caller's thread: one query is too small to amortize a fan-out,
+//! so query throughput scales by serving queries from several threads
+//! instead (below).
 //!
 //! ## Concurrent reads
 //!
@@ -52,24 +53,22 @@ use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use bayeslsh_candgen::{BandingIndex, BandingPlan};
 use bayeslsh_lsh::{Measure, SignaturePool};
-use bayeslsh_numeric::{fan_out, Parallelism};
+use bayeslsh_numeric::Parallelism;
 use bayeslsh_sparse::{Dataset, SparseVector};
 
-use crate::cache::ConcentrationCache;
 use crate::compose::{
-    l2_width, run_composition_prechecked, Composition, CompositionOutput, GeneratorKind,
-    SearchContext, SigPool, VerifierKind,
+    collision_at, posterior_model, run_composition_prechecked, similarity_at, Composition,
+    CompositionOutput, GeneratorKind, SearchContext, SigPool, VerifierKind,
 };
 use crate::config::SprtConfig;
-use crate::cosine_model::CosineModel;
-use crate::engine::{RunScan, RunVerdict};
+use crate::engine::EngineStats;
 use crate::error::SearchError;
-use crate::family_model::FamilyModel;
 use crate::jaccard_model::JaccardModel;
 use crate::knn::{HeapItem, KnnParams, KnnStats};
 use crate::minmatch::{MinMatchCache, MinMatchTable};
 use crate::pipeline::{Algorithm, PipelineConfig};
 use crate::posterior::PosteriorModel;
+use crate::scan::{Bayes, Lite, PoolAccess, Probe, ReadPool, ScanRule, Scanner, Sprt, WritePool};
 use crate::sprt::SprtTable;
 
 /// When corpus signatures are hashed.
@@ -161,8 +160,11 @@ impl SearcherBuilder {
         self
     }
 
-    /// Set the worker-thread budget for build-time hashing/indexing and
-    /// for batch and query execution (default: [`Parallelism::Auto`]).
+    /// Set the worker-thread budget (default: [`Parallelism::Auto`]) for
+    /// the batch stages: hashing and indexing at build, insert and
+    /// [`Searcher::compact`], and [`Searcher::all_pairs`] joins. Point
+    /// queries ([`Searcher::query`], [`Searcher::top_k`]) always run on the
+    /// caller's thread; scale them by querying from several threads.
     /// Resolved once, at [`SearcherBuilder::build`]; output is
     /// bit-identical to `Parallelism::serial()` whatever the setting.
     pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
@@ -376,8 +378,8 @@ pub struct Searcher {
     /// Count of set tombstones.
     n_removed: usize,
     /// Point-query pruning tables, memoized per query shape
-    /// `(threshold, ε, k, max_hashes)`; thread-safe, so verification
-    /// workers and alternating query shapes share it without eviction or
+    /// `(threshold, ε, k, max_hashes)`; thread-safe, so concurrent readers
+    /// and alternating query shapes share it without eviction or
     /// corruption.
     minmatch_cache: MinMatchCache,
 }
@@ -511,8 +513,10 @@ impl Searcher {
         self.mode
     }
 
-    /// The worker-thread budget, resolved at build time from the
-    /// configured [`Parallelism`]. `1` means the exact serial path.
+    /// The worker-thread budget for builds, inserts, compaction and batch
+    /// joins, resolved at build time from the configured [`Parallelism`].
+    /// `1` means the exact serial path; point queries always run on the
+    /// caller's thread.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -602,11 +606,10 @@ impl Searcher {
             ));
         }
         self.check_query(q)?;
-        let mut stats = QueryStats::default();
         if q.is_empty() || self.data.is_empty() {
             return Ok(QueryOutput {
                 neighbors: Vec::new(),
-                stats,
+                stats: QueryStats::default(),
             });
         }
 
@@ -621,34 +624,19 @@ impl Searcher {
         {
             let pool = self.pool_read();
             if pool.query_ready(depth) {
-                let sig = pool.hash_query_ready(q, depth, self.threads);
+                let sig = pool.hash_query_ready(q, depth);
                 let keys = pool.query_band_keys(&sig, params);
-                let (cand_ids, probes_done) = self.probe_query_index(&pool, q, &keys);
+                let (cand_ids, probes) = self.probe_query_index(&pool, q, &keys);
                 if cand_ids.iter().all(|&id| pool.len(id) >= scan_cap) {
-                    stats.candidates = cand_ids.len() as u64;
-                    stats.bucket_probes = probes_done;
-                    let mut access = ReadPool(&pool);
-                    let mut neighbors = if self.threads > 1 {
-                        self.par_verify_query(
-                            &mut access,
-                            q,
-                            threshold,
-                            &sig,
-                            &cand_ids,
-                            &mut stats,
-                        )
-                    } else {
-                        self.serial_verify_query(
-                            &mut access,
-                            q,
-                            threshold,
-                            &sig,
-                            &cand_ids,
-                            &mut stats,
-                        )
-                    };
-                    neighbors.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                    return Ok(QueryOutput { neighbors, stats });
+                    let mut access = ReadPool(&*pool);
+                    return Ok(self.verify_query(
+                        &mut access,
+                        q,
+                        threshold,
+                        &sig,
+                        &cand_ids,
+                        probes,
+                    ));
                 }
             }
         }
@@ -658,23 +646,11 @@ impl Searcher {
         // Signature bits are pure functions of (object, position), so this
         // path is bit-identical to the read path.
         let mut pool = self.pool_write();
-        let sig = if self.threads > 1 {
-            pool.hash_query_par(q, depth, self.threads)
-        } else {
-            pool.hash_query(q, depth)
-        };
+        let sig = pool.hash_query(q, depth);
         let keys = pool.query_band_keys(&sig, params);
-        let (cand_ids, probes_done) = self.probe_query_index(&pool, q, &keys);
-        stats.candidates = cand_ids.len() as u64;
-        stats.bucket_probes = probes_done;
-        let mut access = WritePool(&mut pool);
-        let mut neighbors = if self.threads > 1 {
-            self.par_verify_query(&mut access, q, threshold, &sig, &cand_ids, &mut stats)
-        } else {
-            self.serial_verify_query(&mut access, q, threshold, &sig, &cand_ids, &mut stats)
-        };
-        neighbors.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        Ok(QueryOutput { neighbors, stats })
+        let (cand_ids, probes) = self.probe_query_index(&pool, q, &keys);
+        let mut access = WritePool(&mut *pool);
+        Ok(self.verify_query(&mut access, q, threshold, &sig, &cand_ids, probes))
     }
 
     /// Generate candidates for a threshold point query, honouring the
@@ -692,8 +668,7 @@ impl Searcher {
             SigPool::Ints(_) | SigPool::Projs(_) => 1,
         };
         if probes <= 1 {
-            let ids = self.index.par_probe(keys, self.threads);
-            return (ids, keys.len() as u64);
+            return (self.index.probe(keys), keys.len() as u64);
         }
         let SigPool::Bits(bits) = pool else {
             unreachable!("multi-probe clamps to 1 for non-bit pools")
@@ -732,643 +707,132 @@ impl Searcher {
         self.index.probe_multi(&seqs)
     }
 
-    /// Serial candidate verification for [`Searcher::query`] (lazily
-    /// extending the pool as the paper's economy argument prefers). The
-    /// exact and MLE arms share the parallel implementations — at one
-    /// thread those run inline and compare every candidate to the same
-    /// fixed depth a dedicated serial loop would, so only the Bayesian
-    /// arms (whose laziness matters) keep serial twins.
-    fn serial_verify_query<P: PoolAccess>(
+    /// Verify a point query's candidates with the composition's verifier,
+    /// on the caller's thread: exact and MLE verdicts directly, the
+    /// Bayesian and SPRT verifiers through the shared run-major scan
+    /// (the query signature is the probe, the candidates one run).
+    /// Neighbours come back sorted by decreasing similarity, ties toward
+    /// the lower id.
+    fn verify_query<A: PoolAccess<Pool = SigPool>>(
         &self,
-        pool: &mut P,
-        q: &SparseVector,
-        threshold: f64,
-        sig: &[u32],
-        cand_ids: &[u32],
-        stats: &mut QueryStats,
-    ) -> Vec<(u32, f64)> {
-        match self.composition.verifier {
-            VerifierKind::Exact => self.par_query_exact(q, threshold, cand_ids, stats),
-            VerifierKind::Mle => self.par_query_mle(pool, threshold, sig, cand_ids, stats),
-            VerifierKind::Bayes => match self.cfg.family.measure() {
-                Measure::Cosine | Measure::Mips => {
-                    self.query_bayes(pool, &CosineModel::new(), threshold, sig, cand_ids, stats)
-                }
-                // The fitted prior is a batch concept (it samples candidate
-                // *pairs*); point queries fall back to the uniform prior.
-                Measure::Jaccard => self.query_bayes(
-                    pool,
-                    &JaccardModel::uniform(),
-                    threshold,
-                    sig,
-                    cand_ids,
-                    stats,
-                ),
-                Measure::L2 => self.query_bayes(
-                    pool,
-                    &FamilyModel::new(self.cfg.family),
-                    threshold,
-                    sig,
-                    cand_ids,
-                    stats,
-                ),
-            },
-            VerifierKind::BayesLite => match self.cfg.family.measure() {
-                Measure::Cosine | Measure::Mips => self.query_bayes_lite(
-                    pool,
-                    &CosineModel::new(),
-                    q,
-                    threshold,
-                    sig,
-                    cand_ids,
-                    stats,
-                ),
-                Measure::Jaccard => self.query_bayes_lite(
-                    pool,
-                    &JaccardModel::uniform(),
-                    q,
-                    threshold,
-                    sig,
-                    cand_ids,
-                    stats,
-                ),
-                Measure::L2 => self.query_bayes_lite(
-                    pool,
-                    &FamilyModel::new(self.cfg.family),
-                    q,
-                    threshold,
-                    sig,
-                    cand_ids,
-                    stats,
-                ),
-            },
-            VerifierKind::Sprt => self.query_sprt(pool, q, threshold, sig, cand_ids, stats),
-        }
-    }
-
-    /// Parallel candidate verification for [`Searcher::query`]: candidate
-    /// signatures are pre-extended to the verifier's scan depth (a no-op
-    /// under eager hashing), then candidate chunks fan out across the
-    /// resolved thread budget and merge in candidate order — results and
-    /// counters are bit-identical to [`Searcher::serial_verify_query`].
-    fn par_verify_query<P: PoolAccess>(
-        &self,
-        pool: &mut P,
-        q: &SparseVector,
-        threshold: f64,
-        sig: &[u32],
-        cand_ids: &[u32],
-        stats: &mut QueryStats,
-    ) -> Vec<(u32, f64)> {
-        match self.composition.verifier {
-            VerifierKind::Exact => self.par_query_exact(q, threshold, cand_ids, stats),
-            VerifierKind::Mle => self.par_query_mle(pool, threshold, sig, cand_ids, stats),
-            VerifierKind::Bayes => match self.cfg.family.measure() {
-                Measure::Cosine | Measure::Mips => {
-                    self.par_query_bayes(pool, &CosineModel::new(), threshold, sig, cand_ids, stats)
-                }
-                Measure::Jaccard => self.par_query_bayes(
-                    pool,
-                    &JaccardModel::uniform(),
-                    threshold,
-                    sig,
-                    cand_ids,
-                    stats,
-                ),
-                Measure::L2 => self.par_query_bayes(
-                    pool,
-                    &FamilyModel::new(self.cfg.family),
-                    threshold,
-                    sig,
-                    cand_ids,
-                    stats,
-                ),
-            },
-            VerifierKind::BayesLite => match self.cfg.family.measure() {
-                Measure::Cosine | Measure::Mips => self.par_query_bayes_lite(
-                    pool,
-                    &CosineModel::new(),
-                    q,
-                    threshold,
-                    sig,
-                    cand_ids,
-                    stats,
-                ),
-                Measure::Jaccard => self.par_query_bayes_lite(
-                    pool,
-                    &JaccardModel::uniform(),
-                    q,
-                    threshold,
-                    sig,
-                    cand_ids,
-                    stats,
-                ),
-                Measure::L2 => self.par_query_bayes_lite(
-                    pool,
-                    &FamilyModel::new(self.cfg.family),
-                    q,
-                    threshold,
-                    sig,
-                    cand_ids,
-                    stats,
-                ),
-            },
-            VerifierKind::Sprt => self.par_query_sprt(pool, q, threshold, sig, cand_ids, stats),
-        }
-    }
-
-    fn par_query_exact(
-        &self,
+        pool: &mut A,
         q: &SparseVector,
         t: f64,
+        sig: &[u32],
         cand_ids: &[u32],
-        stats: &mut QueryStats,
-    ) -> Vec<(u32, f64)> {
-        let measure = self.cfg.family.measure();
+        bucket_probes: u64,
+    ) -> QueryOutput {
         let data = &self.data;
-        let chunks = fan_out(cand_ids.len(), self.threads, |_, range| {
-            cand_ids[range]
-                .iter()
-                .filter_map(|&id| {
-                    let s = measure.eval(q, data.vector(id));
+        let cfg = &self.cfg;
+        let measure = cfg.family.measure();
+        let exact = |a: &SparseVector, b: &SparseVector| measure.eval(a, b);
+        let mut stats = QueryStats {
+            candidates: cand_ids.len() as u64,
+            bucket_probes,
+            ..Default::default()
+        };
+        let mut neighbors = Vec::new();
+        let probe = QueryProbe { sig, q };
+        let engine = match self.composition.verifier {
+            VerifierKind::Exact => {
+                stats.exact = cand_ids.len() as u64;
+                neighbors.extend(cand_ids.iter().filter_map(|&id| {
+                    let s = exact(q, data.vector(id));
                     (s >= t).then_some((id, s))
-                })
-                .collect::<Vec<_>>()
-        });
-        stats.exact += cand_ids.len() as u64;
-        chunks.into_iter().flatten().collect()
-    }
-
-    fn par_query_mle<P: PoolAccess>(
-        &self,
-        pool: &mut P,
-        t: f64,
-        sig: &[u32],
-        cand_ids: &[u32],
-        stats: &mut QueryStats,
-    ) -> Vec<(u32, f64)> {
-        let n = self.cfg.approx_hashes;
-        pool.par_ensure_ids(&self.data, cand_ids, n, self.threads);
-        let pool = pool.get();
-        let this = self;
-        let chunks = fan_out(cand_ids.len(), self.threads, |_, range| {
-            // One batched word-parallel sweep per worker chunk.
-            let ids = &cand_ids[range];
-            let mut counts = Vec::new();
-            pool.query_agreements_batched(sig, ids, 0, n, &mut counts);
-            ids.iter()
-                .zip(&counts)
-                .filter_map(|(&id, &m)| {
-                    let s_hat = this.to_similarity(m as f64 / n as f64);
+                }));
+                None
+            }
+            VerifierKind::Mle => {
+                // One batched word-parallel sweep over the fixed depth.
+                let n = cfg.approx_hashes;
+                for &id in cand_ids {
+                    pool.ensure(data, id, n);
+                }
+                let mut counts = Vec::new();
+                pool.get()
+                    .query_agreements_batched(sig, cand_ids, 0, n, &mut counts);
+                stats.hash_comparisons = cand_ids.len() as u64 * n as u64;
+                neighbors.extend(cand_ids.iter().zip(&counts).filter_map(|(&id, &m)| {
+                    let s_hat = similarity_at(cfg, m as f64 / n as f64);
                     (s_hat >= t).then_some((id, s_hat))
-                })
-                .collect::<Vec<_>>()
-        });
-        stats.hash_comparisons += cand_ids.len() as u64 * n as u64;
-        chunks.into_iter().flatten().collect()
-    }
-
-    fn par_query_bayes<P: PoolAccess, M: PosteriorModel + Sync>(
-        &self,
-        pool: &mut P,
-        model: &M,
-        t: f64,
-        sig: &[u32],
-        cand_ids: &[u32],
-        stats: &mut QueryStats,
-    ) -> Vec<(u32, f64)> {
-        let k = self.cfg.k;
-        let max_chunks = (self.cfg.max_hashes / k).max(1);
-        pool.par_ensure_ids(&self.data, cand_ids, max_chunks * k, self.threads);
-        let pool = pool.get();
-        let table = self.query_minmatch(model, t, max_chunks * k);
-        let this = self;
-        let table = &*table;
-        let results = fan_out(cand_ids.len(), self.threads, |_, range| {
-            let mut cache = ConcentrationCache::new(this.cfg.delta, this.cfg.gamma);
-            let mut local = QueryStats::default();
-            let mut out = Vec::new();
-            // Chunk-major batched scan over the worker's candidate slice:
-            // all surviving candidates have their next `k` hashes counted
-            // against the query signature in one word-parallel sweep.
-            // Per-candidate (m, n) trajectories and verdicts are identical
-            // to the candidate-at-a-time loop this replaced.
-            let ids = &cand_ids[range];
-            let mut scan = RunScan::default();
-            scan.reset(ids.len());
-            let mut n = 0u32;
-            for _ in 0..max_chunks {
-                if scan.alive.is_empty() {
-                    break;
-                }
-                scan.alive_ids.clear();
-                scan.alive_ids
-                    .extend(scan.alive.iter().map(|&r| ids[r as usize]));
-                pool.query_agreements_batched(sig, &scan.alive_ids, n, n + k, &mut scan.counts);
-                n += k;
-                local.hash_comparisons += k as u64 * scan.alive.len() as u64;
-                let mut kept = 0usize;
-                for t_idx in 0..scan.alive.len() {
-                    let r = scan.alive[t_idx] as usize;
-                    let m = scan.m[r] + scan.counts[t_idx];
-                    scan.m[r] = m;
-                    if table.should_prune(m, n) {
-                        local.pruned += 1;
-                        scan.verdicts[r] = RunVerdict::Pruned;
-                    } else if cache.is_concentrated(model, m, n) {
-                        scan.verdicts[r] = RunVerdict::Emit(model.map_estimate(m, n));
-                    } else {
-                        scan.alive[kept] = r as u32;
-                        kept += 1;
-                    }
-                }
-                scan.alive.truncate(kept);
+                }));
+                None
             }
-            for &r in &scan.alive {
-                // Unconcentrated at the cap: emit with the current estimate,
-                // mirroring the batch engine's recall guarantee.
-                scan.verdicts[r as usize] =
-                    RunVerdict::Emit(model.map_estimate(scan.m[r as usize], n));
+            VerifierKind::Bayes => {
+                let model = self.query_model();
+                let table = self.query_minmatch(&*model, t, cfg.max_hashes);
+                let mut rule = Bayes::new(&table, &*model, cfg.delta, cfg.gamma);
+                Some(scan_query(
+                    data,
+                    pool,
+                    &probe,
+                    cand_ids,
+                    &mut rule,
+                    &mut neighbors,
+                ))
             }
-            for (r, &id) in ids.iter().enumerate() {
-                if let RunVerdict::Emit(est) = scan.verdicts[r] {
-                    out.push((id, est));
-                }
+            VerifierKind::BayesLite => {
+                let model = self.query_model();
+                let table = self.query_minmatch(&*model, t, cfg.lite_h);
+                let mut rule = Lite::new(&table, exact, t);
+                Some(scan_query(
+                    data,
+                    pool,
+                    &probe,
+                    cand_ids,
+                    &mut rule,
+                    &mut neighbors,
+                ))
             }
-            (out, local)
-        });
-        merge_query_chunks(results, stats)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn par_query_bayes_lite<P: PoolAccess, M: PosteriorModel + Sync>(
-        &self,
-        pool: &mut P,
-        model: &M,
-        q: &SparseVector,
-        t: f64,
-        sig: &[u32],
-        cand_ids: &[u32],
-        stats: &mut QueryStats,
-    ) -> Vec<(u32, f64)> {
-        let k = self.cfg.k;
-        let max_chunks = (self.cfg.lite_h / k).max(1);
-        pool.par_ensure_ids(&self.data, cand_ids, max_chunks * k, self.threads);
-        let pool = pool.get();
-        let table = self.query_minmatch(model, t, max_chunks * k);
-        let this = self;
-        let table = &*table;
-        let measure = self.cfg.family.measure();
-        let results = fan_out(cand_ids.len(), self.threads, |_, range| {
-            let mut local = QueryStats::default();
-            let mut out = Vec::new();
-            // Prune-only chunk-major batched scan; survivors (still
-            // `Pending`) get the exact check in candidate order.
-            let ids = &cand_ids[range];
-            let mut scan = RunScan::default();
-            scan.reset(ids.len());
-            let mut n = 0u32;
-            for _ in 0..max_chunks {
-                if scan.alive.is_empty() {
-                    break;
-                }
-                scan.alive_ids.clear();
-                scan.alive_ids
-                    .extend(scan.alive.iter().map(|&r| ids[r as usize]));
-                pool.query_agreements_batched(sig, &scan.alive_ids, n, n + k, &mut scan.counts);
-                n += k;
-                local.hash_comparisons += k as u64 * scan.alive.len() as u64;
-                let mut kept = 0usize;
-                for t_idx in 0..scan.alive.len() {
-                    let r = scan.alive[t_idx] as usize;
-                    let m = scan.m[r] + scan.counts[t_idx];
-                    scan.m[r] = m;
-                    if table.should_prune(m, n) {
-                        local.pruned += 1;
-                        scan.verdicts[r] = RunVerdict::Pruned;
-                    } else {
-                        scan.alive[kept] = r as u32;
-                        kept += 1;
-                    }
-                }
-                scan.alive.truncate(kept);
-            }
-            for (r, &id) in ids.iter().enumerate() {
-                if matches!(scan.verdicts[r], RunVerdict::Pending) {
-                    local.exact += 1;
-                    let s = measure.eval(q, this.data.vector(id));
-                    if s >= t {
-                        out.push((id, s));
-                    }
-                }
-            }
-            (out, local)
-        });
-        merge_query_chunks(results, stats)
-    }
-
-    fn query_bayes<P: PoolAccess, M: PosteriorModel>(
-        &self,
-        pool: &mut P,
-        model: &M,
-        t: f64,
-        sig: &[u32],
-        cand_ids: &[u32],
-        stats: &mut QueryStats,
-    ) -> Vec<(u32, f64)> {
-        let k = self.cfg.k;
-        let max_chunks = (self.cfg.max_hashes / k).max(1);
-        let table = self.query_minmatch(model, t, max_chunks * k);
-        let mut cache = ConcentrationCache::new(self.cfg.delta, self.cfg.gamma);
-        let mut out = Vec::new();
-        // Chunk-major batched scan, lazily deepening only the candidates
-        // still alive — the paper's economy argument survives batching
-        // because a candidate pruned at chunk `c` is never hashed past
-        // `c·k` hashes, exactly as in the candidate-at-a-time loop.
-        let mut scan = RunScan::default();
-        scan.reset(cand_ids.len());
-        let mut n = 0u32;
-        for _ in 0..max_chunks {
-            if scan.alive.is_empty() {
-                break;
-            }
-            scan.alive_ids.clear();
-            for &r in &scan.alive {
-                let id = cand_ids[r as usize];
-                pool.ensure(&self.data, id, n + k);
-                scan.alive_ids.push(id);
-            }
-            pool.get()
-                .query_agreements_batched(sig, &scan.alive_ids, n, n + k, &mut scan.counts);
-            n += k;
-            stats.hash_comparisons += k as u64 * scan.alive.len() as u64;
-            let mut kept = 0usize;
-            for t_idx in 0..scan.alive.len() {
-                let r = scan.alive[t_idx] as usize;
-                let m = scan.m[r] + scan.counts[t_idx];
-                scan.m[r] = m;
-                if table.should_prune(m, n) {
-                    stats.pruned += 1;
-                    scan.verdicts[r] = RunVerdict::Pruned;
-                } else if cache.is_concentrated(model, m, n) {
-                    scan.verdicts[r] = RunVerdict::Emit(model.map_estimate(m, n));
-                } else {
-                    scan.alive[kept] = r as u32;
-                    kept += 1;
-                }
-            }
-            scan.alive.truncate(kept);
-        }
-        for &r in &scan.alive {
-            // Unconcentrated at the cap: emit with the current estimate,
-            // mirroring the batch engine's recall guarantee.
-            scan.verdicts[r as usize] = RunVerdict::Emit(model.map_estimate(scan.m[r as usize], n));
-        }
-        for (r, &id) in cand_ids.iter().enumerate() {
-            if let RunVerdict::Emit(est) = scan.verdicts[r] {
-                out.push((id, est));
-            }
-        }
-        out
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn query_bayes_lite<P: PoolAccess, M: PosteriorModel>(
-        &self,
-        pool: &mut P,
-        model: &M,
-        q: &SparseVector,
-        t: f64,
-        sig: &[u32],
-        cand_ids: &[u32],
-        stats: &mut QueryStats,
-    ) -> Vec<(u32, f64)> {
-        let k = self.cfg.k;
-        let max_chunks = (self.cfg.lite_h / k).max(1);
-        let table = self.query_minmatch(model, t, max_chunks * k);
-        let measure = self.cfg.family.measure();
-        let mut out = Vec::new();
-        // Prune-only chunk-major batched scan (lazily deepening survivors);
-        // candidates still `Pending` at the cap get the exact check in
-        // candidate order.
-        let mut scan = RunScan::default();
-        scan.reset(cand_ids.len());
-        let mut n = 0u32;
-        for _ in 0..max_chunks {
-            if scan.alive.is_empty() {
-                break;
-            }
-            scan.alive_ids.clear();
-            for &r in &scan.alive {
-                let id = cand_ids[r as usize];
-                pool.ensure(&self.data, id, n + k);
-                scan.alive_ids.push(id);
-            }
-            pool.get()
-                .query_agreements_batched(sig, &scan.alive_ids, n, n + k, &mut scan.counts);
-            n += k;
-            stats.hash_comparisons += k as u64 * scan.alive.len() as u64;
-            let mut kept = 0usize;
-            for t_idx in 0..scan.alive.len() {
-                let r = scan.alive[t_idx] as usize;
-                let m = scan.m[r] + scan.counts[t_idx];
-                scan.m[r] = m;
-                if table.should_prune(m, n) {
-                    stats.pruned += 1;
-                    scan.verdicts[r] = RunVerdict::Pruned;
-                } else {
-                    scan.alive[kept] = r as u32;
-                    kept += 1;
-                }
-            }
-            scan.alive.truncate(kept);
-        }
-        for (r, &id) in cand_ids.iter().enumerate() {
-            if matches!(scan.verdicts[r], RunVerdict::Pending) {
-                stats.exact += 1;
-                let s = measure.eval(q, self.data.vector(id));
-                if s >= t {
-                    out.push((id, s));
-                }
-            }
-        }
-        out
-    }
-
-    /// The SPRT boundary table for point queries at threshold `t`. Rebuilt
-    /// per query rather than memoized: unlike the [`MinMatchTable`] (whose
-    /// entries integrate posterior tails), building it is a handful of
-    /// logarithms plus a binary search per chunk — cheaper than a cache
-    /// lookup under contention.
-    fn query_sprt_table(&self, t: f64) -> (SprtConfig, SprtTable) {
-        let cfg = SprtConfig {
-            threshold: t,
-            ..self.cfg.sprt()
-        };
-        let table = match self.cfg.family.measure() {
-            Measure::Cosine | Measure::Mips => SprtTable::build(&cfg, bayeslsh_lsh::cos_to_r),
-            Measure::Jaccard => SprtTable::build(&cfg, |s| s),
-            Measure::L2 => {
-                let r = l2_width(&self.cfg);
-                SprtTable::build(&cfg, move |s| bayeslsh_lsh::e2lsh_collision(s, r))
+            VerifierKind::Sprt => {
+                // Rebuilt per query rather than memoized: unlike the
+                // `MinMatchTable` (whose entries integrate posterior tails),
+                // the boundary table is a handful of logarithms plus a
+                // binary search per chunk — cheaper than a cache lookup
+                // under contention.
+                let sprt = SprtConfig {
+                    threshold: t,
+                    ..cfg.sprt()
+                };
+                let table = SprtTable::build(&sprt, |s| collision_at(cfg, s));
+                let estimate = |frac| similarity_at(cfg, frac);
+                let mut rule = Sprt::new(&table, sprt.max_hashes, estimate, exact, t);
+                Some(scan_query(
+                    data,
+                    pool,
+                    &probe,
+                    cand_ids,
+                    &mut rule,
+                    &mut neighbors,
+                ))
             }
         };
-        (cfg, table)
-    }
-
-    fn query_sprt<P: PoolAccess>(
-        &self,
-        pool: &mut P,
-        q: &SparseVector,
-        t: f64,
-        sig: &[u32],
-        cand_ids: &[u32],
-        stats: &mut QueryStats,
-    ) -> Vec<(u32, f64)> {
-        let k = self.cfg.k;
-        let (_, table) = self.query_sprt_table(t);
-        let max_chunks = (table.max_hashes() / k).max(1);
-        let measure = self.cfg.family.measure();
-        let mut out = Vec::new();
-        // Chunk-major batched scan with both decision boundaries, lazily
-        // deepening only the candidates still undecided; candidates still
-        // `Pending` at the cap get the exact check in candidate order.
-        let mut scan = RunScan::default();
-        scan.reset(cand_ids.len());
-        let mut n = 0u32;
-        for _ in 0..max_chunks {
-            if scan.alive.is_empty() {
-                break;
-            }
-            scan.alive_ids.clear();
-            for &r in &scan.alive {
-                let id = cand_ids[r as usize];
-                pool.ensure(&self.data, id, n + k);
-                scan.alive_ids.push(id);
-            }
-            pool.get()
-                .query_agreements_batched(sig, &scan.alive_ids, n, n + k, &mut scan.counts);
-            n += k;
-            stats.hash_comparisons += k as u64 * scan.alive.len() as u64;
-            let mut kept = 0usize;
-            for t_idx in 0..scan.alive.len() {
-                let r = scan.alive[t_idx] as usize;
-                let m = scan.m[r] + scan.counts[t_idx];
-                scan.m[r] = m;
-                if table.should_prune(m, n) {
-                    stats.pruned += 1;
-                    scan.verdicts[r] = RunVerdict::Pruned;
-                } else if table.should_accept(m, n) {
-                    scan.verdicts[r] = RunVerdict::Emit(self.to_similarity(m as f64 / n as f64));
-                } else {
-                    scan.alive[kept] = r as u32;
-                    kept += 1;
-                }
-            }
-            scan.alive.truncate(kept);
+        if let Some(engine) = engine {
+            stats.pruned = engine.pruned;
+            stats.exact = engine.exact_verifications;
+            stats.hash_comparisons = engine.hash_comparisons;
         }
-        for (r, &id) in cand_ids.iter().enumerate() {
-            match scan.verdicts[r] {
-                RunVerdict::Emit(est) => out.push((id, est)),
-                RunVerdict::Pending => {
-                    stats.exact += 1;
-                    let s = measure.eval(q, self.data.vector(id));
-                    if s >= t {
-                        out.push((id, s));
-                    }
-                }
-                RunVerdict::Pruned => {}
-            }
-        }
-        out
+        neighbors.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        QueryOutput { neighbors, stats }
     }
 
-    fn par_query_sprt<P: PoolAccess>(
-        &self,
-        pool: &mut P,
-        q: &SparseVector,
-        t: f64,
-        sig: &[u32],
-        cand_ids: &[u32],
-        stats: &mut QueryStats,
-    ) -> Vec<(u32, f64)> {
-        let k = self.cfg.k;
-        let (_, table) = self.query_sprt_table(t);
-        let max_chunks = (table.max_hashes() / k).max(1);
-        pool.par_ensure_ids(&self.data, cand_ids, max_chunks * k, self.threads);
-        let pool = pool.get();
-        let this = self;
-        let table = &table;
-        let measure = self.cfg.family.measure();
-        let results = fan_out(cand_ids.len(), self.threads, |_, range| {
-            let mut local = QueryStats::default();
-            let mut out = Vec::new();
-            // Same chunk-major batched scan as the serial twin; every
-            // verdict is a pure function of the cumulative (m, n), so the
-            // partition cannot move a decision.
-            let ids = &cand_ids[range];
-            let mut scan = RunScan::default();
-            scan.reset(ids.len());
-            let mut n = 0u32;
-            for _ in 0..max_chunks {
-                if scan.alive.is_empty() {
-                    break;
-                }
-                scan.alive_ids.clear();
-                scan.alive_ids
-                    .extend(scan.alive.iter().map(|&r| ids[r as usize]));
-                pool.query_agreements_batched(sig, &scan.alive_ids, n, n + k, &mut scan.counts);
-                n += k;
-                local.hash_comparisons += k as u64 * scan.alive.len() as u64;
-                let mut kept = 0usize;
-                for t_idx in 0..scan.alive.len() {
-                    let r = scan.alive[t_idx] as usize;
-                    let m = scan.m[r] + scan.counts[t_idx];
-                    scan.m[r] = m;
-                    if table.should_prune(m, n) {
-                        local.pruned += 1;
-                        scan.verdicts[r] = RunVerdict::Pruned;
-                    } else if table.should_accept(m, n) {
-                        scan.verdicts[r] =
-                            RunVerdict::Emit(this.to_similarity(m as f64 / n as f64));
-                    } else {
-                        scan.alive[kept] = r as u32;
-                        kept += 1;
-                    }
-                }
-                scan.alive.truncate(kept);
-            }
-            for (r, &id) in ids.iter().enumerate() {
-                match scan.verdicts[r] {
-                    RunVerdict::Emit(est) => out.push((id, est)),
-                    RunVerdict::Pending => {
-                        local.exact += 1;
-                        let s = measure.eval(q, this.data.vector(id));
-                        if s >= t {
-                            out.push((id, s));
-                        }
-                    }
-                    RunVerdict::Pruned => {}
-                }
-            }
-            (out, local)
-        });
-        merge_query_chunks(results, stats)
+    /// The posterior model point queries and top-k prune with: the
+    /// family's model, with the uniform Jaccard prior (the fitted prior is
+    /// a batch concept — it samples candidate *pairs*).
+    fn query_model(&self) -> Box<dyn PosteriorModel + Send + Sync> {
+        posterior_model(&self.cfg, JaccardModel::uniform)
     }
 
-    /// The pruning table for point queries at threshold `t`, memoized
+    /// The pruning table for point queries at threshold `t` scanning up to
+    /// `cap` hashes (rounded down to whole chunks, at least one), memoized
     /// across queries (the model is fixed per searcher by its measure).
-    /// Every `(t, max_hashes)` shape seen stays cached — alternating
-    /// query shapes no longer evict each other — and the memo is
-    /// thread-safe, so parallel verification workers can share it.
-    fn query_minmatch<M: PosteriorModel>(
-        &self,
-        model: &M,
-        t: f64,
-        max_hashes: u32,
-    ) -> Arc<MinMatchTable> {
+    /// Every `(t, max_hashes)` shape seen stays cached — alternating query
+    /// shapes do not evict each other — and the memo is thread-safe, so
+    /// concurrent readers share it.
+    fn query_minmatch(&self, model: &dyn PosteriorModel, t: f64, cap: u32) -> Arc<MinMatchTable> {
+        let k = self.cfg.k;
         self.minmatch_cache
-            .get_or_build(model, t, self.cfg.epsilon, self.cfg.k, max_hashes)
+            .get_or_build(model, t, self.cfg.epsilon, k, (cap / k).max(1) * k)
     }
 
     /// Top-`k` most similar corpus vectors to `q`, sorted by decreasing
@@ -1395,21 +859,7 @@ impl Searcher {
         if k == 0 {
             return Err(SearchError::invalid("k", "need at least one neighbour"));
         }
-        if !(params.epsilon > 0.0 && params.epsilon < 1.0) {
-            return Err(SearchError::invalid(
-                "epsilon",
-                format!("must lie in (0, 1), got {}", params.epsilon),
-            ));
-        }
-        if params.chunk < 1 || params.h < params.chunk {
-            return Err(SearchError::invalid(
-                "chunk",
-                format!(
-                    "need h >= chunk >= 1, got chunk {} h {}",
-                    params.chunk, params.h
-                ),
-            ));
-        }
+        params.validate()?;
         self.check_query(q)?;
         let mut stats = KnnStats::default();
         if q.is_empty() || self.data.is_empty() {
@@ -1422,11 +872,6 @@ impl Searcher {
         let banding = self.plan.params;
         let scan_cap = (params.h / params.chunk) * params.chunk;
         let depth = banding.total_hashes().max(scan_cap);
-        // Parallelism accelerates the data-parallel phases — query hashing,
-        // index probing, candidate signature extension. The pruning scan
-        // stays sequential by design: its rising k-th-best threshold makes
-        // each candidate's verdict depend on all previous ones, and keeping
-        // that order is what makes top-k output deterministic.
 
         // Fast path under the shared read lock: possible when the hasher
         // bank covers the query depth and every candidate's stored
@@ -1437,12 +882,12 @@ impl Searcher {
         {
             let pool = self.pool_read();
             if pool.query_ready(depth) {
-                let sig = pool.hash_query_ready(q, depth, self.threads);
+                let sig = pool.hash_query_ready(q, depth);
                 let keys = pool.query_band_keys(&sig, banding);
-                let cand_ids = self.index.par_probe(&keys, self.threads);
+                let cand_ids = self.index.probe(&keys);
                 if cand_ids.iter().all(|&id| pool.len(id) >= scan_cap) {
                     stats.candidates = cand_ids.len() as u64;
-                    let mut access = ReadPool(&pool);
+                    let mut access = ReadPool(&*pool);
                     let neighbors =
                         self.top_k_scan(&mut access, q, &sig, &cand_ids, k, params, &mut stats);
                     return Ok(TopKOutput { neighbors, stats });
@@ -1451,27 +896,26 @@ impl Searcher {
         }
 
         let mut pool = self.pool_write();
-        let sig = if self.threads > 1 {
-            pool.hash_query_par(q, depth, self.threads)
-        } else {
-            pool.hash_query(q, depth)
-        };
+        let sig = pool.hash_query(q, depth);
         let keys = pool.query_band_keys(&sig, banding);
-        let cand_ids = self.index.par_probe(&keys, self.threads);
+        let cand_ids = self.index.probe(&keys);
         stats.candidates = cand_ids.len() as u64;
-        let mut access = WritePool(&mut pool);
+        let mut access = WritePool(&mut *pool);
         let neighbors = self.top_k_scan(&mut access, q, &sig, &cand_ids, k, params, &mut stats);
         Ok(TopKOutput { neighbors, stats })
     }
 
     /// Everything [`Searcher::top_k`] does after candidate generation:
     /// first-chunk batched agreements, then the sequential rising-threshold
-    /// pruning scan. Generic over the pool handle so the read- and
-    /// write-lock paths share one implementation.
+    /// pruning scan — sequential by design: the rising k-th-best threshold
+    /// makes each candidate's verdict depend on all previous ones, and
+    /// keeping that order is what makes top-k output deterministic.
+    /// Generic over the pool handle so the read- and write-lock paths share
+    /// one implementation.
     #[allow(clippy::too_many_arguments)]
-    fn top_k_scan<P: PoolAccess>(
+    fn top_k_scan<A: PoolAccess<Pool = SigPool>>(
         &self,
-        pool: &mut P,
+        pool: &mut A,
         q: &SparseVector,
         sig: &[u32],
         cand_ids: &[u32],
@@ -1479,44 +923,16 @@ impl Searcher {
         params: &KnnParams,
         stats: &mut KnnStats,
     ) -> Vec<(u32, f64)> {
-        let max_chunks = params.h / params.chunk;
-        if self.threads > 1 {
-            // Pre-extend candidates to the FIRST chunk only: every
-            // candidate pays at least one chunk, so this parallelizes the
-            // bulk of the hashing without hashing to the full `params.h`
-            // budget signatures the sequential scan below would prune at
-            // chunk 1 — the lazy economy survives the fan-out.
-            pool.par_ensure_ids(&self.data, cand_ids, params.chunk, self.threads);
-        }
-
+        let model = self.query_model();
         let measure = self.cfg.family.measure();
-        let cosine_model;
-        let jaccard_model;
-        let family_model;
-        let model: &dyn PosteriorModel = match measure {
-            Measure::Cosine | Measure::Mips => {
-                cosine_model = CosineModel::new();
-                &cosine_model
-            }
-            Measure::Jaccard => {
-                jaccard_model = JaccardModel::uniform();
-                &jaccard_model
-            }
-            Measure::L2 => {
-                family_model = FamilyModel::new(self.cfg.family);
-                &family_model
-            }
-        };
 
         // Every candidate pays at least one chunk, and chunk-1 agreement
         // counts do not depend on the rising threshold — so count them all
         // up front in one batched word-parallel sweep, leaving only the
         // (order-dependent) verdicts and deeper chunks to the sequential
         // scan below.
-        if self.threads == 1 {
-            for &id in cand_ids {
-                pool.ensure(&self.data, id, params.chunk);
-            }
+        for &id in cand_ids {
+            pool.ensure(&self.data, id, params.chunk);
         }
         let mut first = Vec::new();
         pool.get()
@@ -1526,26 +942,11 @@ impl Searcher {
         // similarity is a rising pruning threshold.
         let mut heap: BinaryHeap<std::cmp::Reverse<HeapItem>> = BinaryHeap::with_capacity(k + 1);
         let mut kth_best = params.floor;
-        for (idx, &id) in cand_ids.iter().enumerate() {
-            let prune_below = kth_best;
-            let (outcome, _, n) = scan_candidate_resume(
-                &self.data,
-                pool,
-                sig,
-                id,
-                first[idx],
-                params.chunk,
-                max_chunks,
-                |m, n| {
-                    if model.prob_above_threshold(m, n, prune_below) < params.epsilon {
-                        StepVerdict::Prune
-                    } else {
-                        StepVerdict::Continue
-                    }
-                },
-            );
+        for (&id, &m1) in cand_ids.iter().zip(&first) {
+            let (pruned, n) =
+                scan_candidate_resume(&self.data, pool, &*model, sig, id, m1, params, kth_best);
             stats.hash_comparisons += n as u64;
-            if outcome == ScanOutcome::Pruned {
+            if pruned {
                 stats.pruned += 1;
                 continue;
             }
@@ -1683,15 +1084,6 @@ impl Searcher {
         count
     }
 
-    /// Map a raw hash-agreement fraction to the target similarity.
-    fn to_similarity(&self, frac: f64) -> f64 {
-        match self.cfg.family.measure() {
-            Measure::Cosine | Measure::Mips => bayeslsh_lsh::r_to_cos(frac),
-            Measure::Jaccard => frac,
-            Measure::L2 => bayeslsh_lsh::e2lsh_similarity_at(frac, l2_width(&self.cfg)),
-        }
-    }
-
     /// Enforce the preconditions every incoming vector (query or insert)
     /// must meet: binary support when the composition demands it, and —
     /// for the projection families (SRP for cosine/MIPS, E2LSH for L2),
@@ -1744,19 +1136,12 @@ impl Searcher {
     }
 
     /// Hash `q` to a `depth`-hash query signature using this searcher's
-    /// hash family (bit-identical at any thread count). Because the
-    /// family is a pure function of the config seed and feature-space
-    /// dimensionality — both forced global across shards — a signature
-    /// computed on one shard is valid against every shard of the same
-    /// build.
+    /// hash family, on the caller's thread. Because the family is a pure
+    /// function of the config seed and feature-space dimensionality — both
+    /// forced global across shards — a signature computed on one shard is
+    /// valid against every shard of the same build.
     pub fn hash_query_signature(&mut self, q: &SparseVector, depth: u32) -> Vec<u32> {
-        let threads = self.threads;
-        let pool = self.pool_mut();
-        if threads > 1 {
-            pool.hash_query_par(q, depth, threads)
-        } else {
-            pool.hash_query(q, depth)
-        }
+        self.pool_mut().hash_query(q, depth)
     }
 
     /// Probe the banding index with query signature `sig` and annotate
@@ -1774,8 +1159,8 @@ impl Searcher {
         let params = self.plan.params;
         let pool = self.pool_read();
         let keys = pool.query_band_keys(sig, params);
-        let cand_ids = self.index.par_probe(&keys, self.threads);
-        cand_ids
+        self.index
+            .probe(&keys)
             .into_iter()
             .map(|id| {
                 let band = (0..params.l)
@@ -1787,22 +1172,15 @@ impl Searcher {
     }
 
     /// Agreement counts between `sig` and each of `ids` over hash range
-    /// `[0, chunk)`, extending pool signatures as needed (parallel across
-    /// the thread budget, bit-identical to serial). This is
+    /// `[0, chunk)`, extending pool signatures as needed. This is
     /// [`Searcher::top_k`]'s batched first-chunk sweep, exposed so a
     /// router can pay each shard's first chunk up front — the counts are
     /// independent of the rising threshold, so only the verdicts remain
     /// sequential.
     pub fn first_chunk_agreements(&mut self, sig: &[u32], ids: &[u32], chunk: u32) -> Vec<u32> {
-        let threads = self.threads;
         let pool = self.pool.get_mut().expect("signature pool lock poisoned");
-        if threads > 1 {
-            pool.par_ensure_ids(&self.data, ids, chunk, threads);
-        } else {
-            for &id in ids {
-                let v = self.data.vector(id);
-                pool.ensure(id, v, chunk);
-            }
+        for &id in ids {
+            pool.ensure(id, self.data.vector(id), chunk);
         }
         let mut out = Vec::new();
         pool.query_agreements_batched(sig, ids, 0, chunk, &mut out);
@@ -1831,171 +1209,101 @@ impl Searcher {
         prune_below: f64,
     ) -> CandidateScan {
         debug_assert!(params.chunk >= 1 && params.h >= params.chunk);
-        let max_chunks = params.h / params.chunk;
-        let measure = self.cfg.family.measure();
-        let cosine_model;
-        let jaccard_model;
-        let family_model;
-        let model: &dyn PosteriorModel = match measure {
-            Measure::Cosine | Measure::Mips => {
-                cosine_model = CosineModel::new();
-                &cosine_model
-            }
-            Measure::Jaccard => {
-                jaccard_model = JaccardModel::uniform();
-                &jaccard_model
-            }
-            Measure::L2 => {
-                family_model = FamilyModel::new(self.cfg.family);
-                &family_model
-            }
-        };
-        let mut access = WritePool(self.pool.get_mut().expect("signature pool lock poisoned"));
-        let (outcome, _, n) = scan_candidate_resume(
+        let model = self.query_model();
+        let pool = self.pool.get_mut().expect("signature pool lock poisoned");
+        let (pruned, comparisons) = scan_candidate_resume(
             &self.data,
-            &mut access,
+            &mut WritePool(pool),
+            &*model,
             sig,
             id,
             first_m,
-            params.chunk,
-            max_chunks,
-            |m, n| {
-                if model.prob_above_threshold(m, n, prune_below) < params.epsilon {
-                    StepVerdict::Prune
-                } else {
-                    StepVerdict::Continue
-                }
-            },
+            params,
+            prune_below,
         );
-        match outcome {
-            ScanOutcome::Pruned => CandidateScan::Pruned { comparisons: n },
-            ScanOutcome::Exhausted => CandidateScan::Survivor {
-                comparisons: n,
-                similarity: measure.eval(q, self.data.vector(id)),
-            },
+        if pruned {
+            CandidateScan::Pruned { comparisons }
+        } else {
+            CandidateScan::Survivor {
+                comparisons,
+                similarity: self.cfg.family.measure().eval(q, self.data.vector(id)),
+            }
         }
     }
 }
 
-/// Uniform pool handle for the two execution paths of `&self` queries:
-/// the read path (the pool already covers every request, so lazy ensures
-/// are debug-checked no-ops) and the write path (real lazy extension
-/// under the write lock). Verification code is generic over this, so
-/// both paths run the exact same scan logic and stay bit-identical by
-/// construction.
-trait PoolAccess {
-    fn get(&self) -> &SigPool;
-    fn ensure(&mut self, data: &Dataset, id: u32, n: u32);
-    fn par_ensure_ids(&mut self, data: &Dataset, ids: &[u32], n: u32, threads: usize);
+/// A point query as a scan probe: its signature, hashed up front, and its
+/// vector for the exact check.
+struct QueryProbe<'a> {
+    sig: &'a [u32],
+    q: &'a SparseVector,
 }
 
-/// Read-lock pool handle: every touched signature is already deep
-/// enough, so ensures are no-ops (verified in debug builds).
-struct ReadPool<'a>(&'a SigPool);
+impl Probe<SigPool> for QueryProbe<'_> {
+    fn ensure<A: PoolAccess<Pool = SigPool>>(&self, _: &mut A, _: &Dataset, _: u32) {}
 
-impl PoolAccess for ReadPool<'_> {
-    fn get(&self) -> &SigPool {
-        self.0
+    #[inline]
+    fn count(&self, pool: &SigPool, ids: &[u32], lo: u32, hi: u32, out: &mut Vec<u32>) {
+        pool.query_agreements_batched(self.sig, ids, lo, hi, out);
     }
 
-    fn ensure(&mut self, _data: &Dataset, id: u32, n: u32) {
-        debug_assert!(self.0.len(id) >= n, "read-path ensure must be a no-op");
-    }
-
-    fn par_ensure_ids(&mut self, _data: &Dataset, ids: &[u32], n: u32, _threads: usize) {
-        debug_assert!(
-            ids.iter().all(|&id| self.0.len(id) >= n),
-            "read-path ensure must be a no-op"
-        );
+    fn vector<'a>(&'a self, _: &'a Dataset) -> &'a SparseVector {
+        self.q
     }
 }
 
-/// Write-lock pool handle: the usual lazy-extension economy.
-struct WritePool<'a>(&'a mut SigPool);
-
-impl PoolAccess for WritePool<'_> {
-    fn get(&self) -> &SigPool {
-        self.0
-    }
-
-    fn ensure(&mut self, data: &Dataset, id: u32, n: u32) {
-        self.0.ensure(id, data.vector(id), n);
-    }
-
-    fn par_ensure_ids(&mut self, data: &Dataset, ids: &[u32], n: u32, threads: usize) {
-        self.0.par_ensure_ids(data, ids, n, threads);
-    }
-}
-
-/// Incrementally compare an external query signature against pool
-/// member `id`, `chunk` hashes at a time, letting `step` adjudicate
-/// after each chunk. The first chunk's agreement count `m1` is supplied
-/// by the caller ([`Searcher::top_k`] precomputes it for every
-/// candidate in one batched word-parallel sweep — it is independent of
-/// the rising threshold, so only the sequential *verdicts* remain
-/// order-dependent). Returns the outcome with the final `(m, n)`
-/// counts; `n` is the number of hash comparisons spent.
-#[allow(clippy::too_many_arguments)]
-fn scan_candidate_resume<P: PoolAccess>(
+/// Run the shared scan over one point query's candidates, pushing accepted
+/// `(id, similarity)` pairs onto `neighbors`; returns the scan counters.
+fn scan_query<A, R>(
     data: &Dataset,
-    pool: &mut P,
+    pool: &mut A,
+    probe: &QueryProbe<'_>,
+    cand_ids: &[u32],
+    rule: &mut R,
+    neighbors: &mut Vec<(u32, f64)>,
+) -> EngineStats
+where
+    A: PoolAccess<Pool = SigPool>,
+    R: ScanRule,
+{
+    let mut scanner = Scanner::new(rule);
+    scanner.run(data, pool, probe, cand_ids, rule, |id, s| {
+        neighbors.push((id, s))
+    });
+    scanner.stats
+}
+
+/// One candidate of [`Searcher::top_k`]'s sequential scan: resume from the
+/// first chunk's agreement count `m1` (precomputed for every candidate in
+/// one batched sweep — it is independent of the rising threshold, so only
+/// the verdicts remain order-dependent), then compare `params.chunk`
+/// hashes at a time until `Pr[S ≥ prune_below | m, n] < ε` prunes the
+/// candidate or `params.h` runs out. Returns whether it was pruned and the
+/// hash comparisons spent.
+#[allow(clippy::too_many_arguments)]
+fn scan_candidate_resume<A: PoolAccess<Pool = SigPool>>(
+    data: &Dataset,
+    pool: &mut A,
+    model: &dyn PosteriorModel,
     sig: &[u32],
     id: u32,
     m1: u32,
-    chunk: u32,
-    max_chunks: u32,
-    mut step: impl FnMut(u32, u32) -> StepVerdict,
-) -> (ScanOutcome, u32, u32) {
+    params: &KnnParams,
+    prune_below: f64,
+) -> (bool, u32) {
+    let chunk = params.chunk;
     let (mut m, mut n) = (m1, chunk);
-    if step(m, n) == StepVerdict::Prune {
-        return (ScanOutcome::Pruned, m, n);
-    }
-    for _ in 1..max_chunks {
+    loop {
+        if model.prob_above_threshold(m, n, prune_below) < params.epsilon {
+            return (true, n);
+        }
+        if n + chunk > params.h {
+            return (false, n);
+        }
         pool.ensure(data, id, n + chunk);
         m += pool.get().query_agreements(sig, id, n, n + chunk);
         n += chunk;
-        if step(m, n) == StepVerdict::Prune {
-            return (ScanOutcome::Pruned, m, n);
-        }
     }
-    (ScanOutcome::Exhausted, m, n)
-}
-
-/// Merge per-chunk query verification results in chunk (= candidate)
-/// order, folding the per-chunk counters into `stats`.
-fn merge_query_chunks(
-    results: Vec<(Vec<(u32, f64)>, QueryStats)>,
-    stats: &mut QueryStats,
-) -> Vec<(u32, f64)> {
-    let mut out = Vec::new();
-    for (chunk, local) in results {
-        out.extend(chunk);
-        stats.pruned += local.pruned;
-        stats.exact += local.exact;
-        stats.hash_comparisons += local.hash_comparisons;
-    }
-    out
-}
-
-/// The per-chunk decision of a [`Searcher::scan_candidate_resume`] step
-/// closure. (Threshold queries no longer go through the step machinery —
-/// their chunk-major batched scans adjudicate whole alive sets at once —
-/// so only the top-k prune/continue decision remains.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StepVerdict {
-    /// Keep comparing hashes.
-    Continue,
-    /// Posterior says the candidate cannot clear the threshold.
-    Prune,
-}
-
-/// How a candidate scan ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ScanOutcome {
-    /// The step closure pruned the candidate.
-    Pruned,
-    /// The hash budget ran out without a verdict.
-    Exhausted,
 }
 
 #[cfg(test)]
@@ -2165,6 +1473,122 @@ mod tests {
             assert!((sim - cosine(&q, s.data().vector(id))).abs() < 1e-12);
         }
         assert!(s.top_k(&q, 0, &KnnParams::default()).is_err());
+    }
+
+    /// Fifteen clusters of eight noisy copies: every query has a handful
+    /// of true neighbours and a long tail of junk candidates.
+    fn knn_corpus(seed: u64) -> Dataset {
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        let mut d = Dataset::new(3000);
+        for c in 0..15 {
+            let center: Vec<(u32, f32)> = (0..40)
+                .map(|_| {
+                    (
+                        (c * 200 + rng.next_below(190) as usize) as u32,
+                        (rng.next_f64() + 0.3) as f32,
+                    )
+                })
+                .collect();
+            for _ in 0..8 {
+                let mut pairs = center.clone();
+                for p in pairs.iter_mut() {
+                    if rng.next_bool(0.2) {
+                        *p = (rng.next_below(3000) as u32, (rng.next_f64() + 0.3) as f32);
+                    }
+                }
+                d.push(SparseVector::from_pairs(pairs));
+            }
+        }
+        d
+    }
+
+    fn brute_top_k(data: &Dataset, q: &SparseVector, k: usize, skip: u32) -> Vec<u32> {
+        let mut sims: Vec<(u32, f64)> = data
+            .iter()
+            .filter(|&(id, _)| id != skip)
+            .map(|(id, v)| (id, cosine(q, v)))
+            .collect();
+        sims.sort_by(|a, b| b.1.total_cmp(&a.1));
+        sims.truncate(k);
+        sims.into_iter().map(|(id, _)| id).collect()
+    }
+
+    #[test]
+    fn top_k_finds_most_true_neighbours() {
+        let s = Searcher::builder(PipelineConfig::cosine(0.5))
+            .build(knn_corpus(201))
+            .unwrap();
+        let k = 5;
+        let (mut hits, mut total) = (0usize, 0usize);
+        for qid in (0..s.len() as u32).step_by(11) {
+            let q = s.data().vector(qid).clone();
+            let got = s.top_k(&q, k + 1, &KnnParams::default()).unwrap().neighbors;
+            assert_eq!(got[0].0, qid, "self must rank first");
+            let got: std::collections::HashSet<u32> = got.iter().skip(1).map(|n| n.0).collect();
+            for t in brute_top_k(s.data(), &q, k, qid) {
+                total += 1;
+                hits += usize::from(got.contains(&t));
+            }
+        }
+        let recall = hits as f64 / total as f64;
+        assert!(recall >= 0.75, "k-NN recall@{k} = {recall}");
+    }
+
+    #[test]
+    fn top_k_pruning_actually_happens() {
+        let s = Searcher::builder(PipelineConfig::cosine(0.3))
+            .build(knn_corpus(203))
+            .unwrap();
+        let q = s.data().vector(0).clone();
+        let stats = s.top_k(&q, 3, &KnnParams::default()).unwrap().stats;
+        assert!(stats.candidates > 20, "want a non-trivial candidate set");
+        assert!(stats.pruned > 0, "the Bayesian filter should prune");
+        assert!(
+            stats.exact < stats.candidates,
+            "exact computations {} should undercut candidates {}",
+            stats.exact,
+            stats.candidates
+        );
+    }
+
+    #[test]
+    fn top_k_handles_empty_query_and_small_k() {
+        let s = Searcher::builder(PipelineConfig::cosine(0.5))
+            .build(knn_corpus(204))
+            .unwrap();
+        let out = s
+            .top_k(&SparseVector::empty(), 5, &KnnParams::default())
+            .unwrap();
+        assert!(out.neighbors.is_empty());
+        assert_eq!(out.stats.candidates, 0);
+        let q = s.data().vector(1).clone();
+        let one = s.top_k(&q, 1, &KnnParams::default()).unwrap().neighbors;
+        assert_eq!(one.len(), 1);
+        assert_eq!(one[0].0, 1);
+    }
+
+    #[test]
+    fn top_k_rising_threshold_tightens_pruning() {
+        // With a higher floor the pruning threshold starts high, so more
+        // candidates die early.
+        let s = Searcher::builder(PipelineConfig::cosine(0.3))
+            .build(knn_corpus(205))
+            .unwrap();
+        let q = s.data().vector(5).clone();
+        let run = |floor| {
+            let params = KnnParams {
+                floor,
+                ..Default::default()
+            };
+            s.top_k(&q, 3, &params).unwrap().stats
+        };
+        let (lax, strict) = (run(0.05), run(0.6));
+        assert!(
+            strict.exact <= lax.exact,
+            "strict floor should not need more exact computations ({} vs {})",
+            strict.exact,
+            lax.exact
+        );
     }
 
     #[test]

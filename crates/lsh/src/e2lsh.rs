@@ -509,14 +509,6 @@ impl ProjSignatures {
         })
     }
 
-    /// Hash an out-of-pool vector to `n` buckets with up to `threads`
-    /// workers, splitting the hash range. Identical to
-    /// [`ProjSignatures::hash_external`] over `0..n`.
-    pub fn hash_external_par(&mut self, v: &SparseVector, n: u32, threads: usize) -> Vec<u32> {
-        self.hasher.ensure_functions_par(n as usize, threads);
-        self.hash_external_ready(v, n, threads)
-    }
-
     /// Whether [`ProjSignatures::hash_external_ready`] can serve `n` hashes
     /// right now.
     pub fn external_ready(&self, n: u32) -> bool {
@@ -531,17 +523,13 @@ impl ProjSignatures {
     }
 
     /// Read-only external hashing: identical output to
-    /// [`ProjSignatures::hash_external_par`], but through `&self`. The
-    /// projection bank must already cover `n`; many reader threads may call
-    /// this concurrently.
-    pub fn hash_external_ready(&self, v: &SparseVector, n: u32, threads: usize) -> Vec<u32> {
+    /// [`ProjSignatures::hash_external`] over `0..n`, but through `&self`.
+    /// The projection bank must already cover `n`; many reader threads may
+    /// call this concurrently.
+    pub fn hash_external_ready(&self, v: &SparseVector, n: u32) -> Vec<u32> {
         debug_assert!(self.external_ready(n), "projection bank not prepared");
-        let hasher = &self.hasher;
-        let chunks = fan_out(n as usize, threads, |_, r| {
-            let mut scratch = E2lshScratch::new();
-            hasher.hash_range_packed_with(v, r.start as u32, r.end as u32, &mut scratch)
-        });
-        chunks.into_iter().flatten().collect()
+        self.hasher
+            .hash_range_packed_with(v, 0, n, &mut E2lshScratch::new())
     }
 
     /// Drop object `id`'s signature and release its hashes from the cost
@@ -839,10 +827,7 @@ mod tests {
         pool.hash_external(&x, 0, 128, &mut expect);
         assert_eq!(&expect[..], pool.raw(0));
         assert!(pool.external_ready(128));
-        for threads in [1usize, 2, 8] {
-            assert_eq!(pool.hash_external_ready(&x, 128, threads), expect);
-            assert_eq!(pool.hash_external_par(&x, 128, threads), expect);
-        }
+        assert_eq!(pool.hash_external_ready(&x, 128), expect);
         // Clear releases accounting.
         let before = pool.total_hashes();
         pool.clear(0);

@@ -407,15 +407,6 @@ impl BitSignatures {
         })
     }
 
-    /// Hash an out-of-pool vector to `n` bits (rounded up to whole words)
-    /// with up to `threads` workers, splitting the hash range word-aligned.
-    /// Bit-identical to [`BitSignatures::hash_external`] over `0..n`.
-    pub fn hash_external_par(&mut self, v: &SparseVector, n: u32, threads: usize) -> Vec<u32> {
-        let target = n.div_ceil(32) * 32;
-        self.hasher.ensure_planes_par(target as usize, threads);
-        self.hash_external_ready(v, n, threads)
-    }
-
     /// Whether [`BitSignatures::hash_external_ready`] can serve `n` bits
     /// right now — i.e. the plane bank already covers the word-rounded
     /// target, so hashing needs no `&mut self`.
@@ -433,18 +424,15 @@ impl BitSignatures {
     }
 
     /// Read-only external hashing: identical output to
-    /// [`BitSignatures::hash_external_par`], but through `&self`. The plane
-    /// bank must already cover `n` bits ([`BitSignatures::external_ready`]);
-    /// many reader threads may call this concurrently.
-    pub fn hash_external_ready(&self, v: &SparseVector, n: u32, threads: usize) -> Vec<u32> {
+    /// [`BitSignatures::hash_external`] over `0..n` (rounded up to whole
+    /// words), but through `&self`. The plane bank must already cover `n`
+    /// bits ([`BitSignatures::external_ready`]); many reader threads may
+    /// call this concurrently.
+    pub fn hash_external_ready(&self, v: &SparseVector, n: u32) -> Vec<u32> {
         let target = n.div_ceil(32) * 32;
         debug_assert!(self.external_ready(n), "plane bank not prepared");
-        let hasher = &self.hasher;
-        let chunks = fan_out((target / 32) as usize, threads, |_, r| {
-            let mut scratch = SrpScratch::new();
-            hasher.hash_bits_packed_with(v, 32 * r.start as u32, 32 * r.end as u32, &mut scratch)
-        });
-        chunks.into_iter().flatten().collect()
+        self.hasher
+            .hash_bits_packed_with(v, 0, target, &mut SrpScratch::new())
     }
 
     /// Drop object `id`'s signature and release its hashes from the cost
@@ -672,14 +660,6 @@ impl IntSignatures {
         })
     }
 
-    /// Hash an out-of-pool vector to `n` minhashes with up to `threads`
-    /// workers, splitting the hash range. Identical to
-    /// [`IntSignatures::hash_external`] over `0..n`.
-    pub fn hash_external_par(&mut self, v: &SparseVector, n: u32, threads: usize) -> Vec<u32> {
-        self.hasher.ensure_functions(n as usize);
-        self.hash_external_ready(v, n, threads)
-    }
-
     /// Whether [`IntSignatures::hash_external_ready`] can serve `n` hashes
     /// right now — i.e. the hash-function bank already covers the target,
     /// so hashing needs no `&mut self`.
@@ -696,18 +676,14 @@ impl IntSignatures {
     }
 
     /// Read-only external hashing: identical output to
-    /// [`IntSignatures::hash_external_par`], but through `&self`. The
-    /// hash-function bank must already cover `n`
+    /// [`IntSignatures::hash_external`] over `0..n`, but through `&self`.
+    /// The hash-function bank must already cover `n`
     /// ([`IntSignatures::external_ready`]); many reader threads may call
     /// this concurrently.
-    pub fn hash_external_ready(&self, v: &SparseVector, n: u32, threads: usize) -> Vec<u32> {
+    pub fn hash_external_ready(&self, v: &SparseVector, n: u32) -> Vec<u32> {
         debug_assert!(self.external_ready(n), "hash-function bank not prepared");
-        let hasher = &self.hasher;
-        let chunks = fan_out(n as usize, threads, |_, r| {
-            let mut scratch = MinScratch::new();
-            hasher.hash_range_packed_with(v, r.start as u32, r.end as u32, &mut scratch)
-        });
-        chunks.into_iter().flatten().collect()
+        self.hasher
+            .hash_range_packed_with(v, 0, n, &mut MinScratch::new())
     }
 
     /// Drop object `id`'s signature and release its hashes from the cost
@@ -951,19 +927,22 @@ mod tests {
 
     #[test]
     fn par_external_hash_matches_serial() {
+        // A bank prepared with any thread budget serves the same external
+        // signatures as the serial, pool-extending path.
         let vs = vecs(1, 80, 15, 33);
-        let mut bits = BitSignatures::new(SrpHasher::new(80, 34), 1);
-        let mut expect = Vec::new();
-        bits.hash_external(&vs[0], 0, 200, &mut expect);
-        for threads in [1usize, 2, 8] {
-            assert_eq!(bits.hash_external_par(&vs[0], 200, threads), expect);
-        }
         let set = SparseVector::from_indices(vec![4, 9, 44, 70]);
-        let mut ints = IntSignatures::new(MinHasher::new(35), 1);
-        let mut expect = Vec::new();
-        ints.hash_external(&set, 0, 150, &mut expect);
         for threads in [1usize, 2, 8] {
-            assert_eq!(ints.hash_external_par(&set, 150, threads), expect);
+            let mut bits = BitSignatures::new(SrpHasher::new(80, 34), 1);
+            bits.prepare_external(200, threads);
+            let mut expect = Vec::new();
+            bits.hash_external(&vs[0], 0, 200, &mut expect);
+            assert_eq!(bits.hash_external_ready(&vs[0], 200), expect);
+
+            let mut ints = IntSignatures::new(MinHasher::new(35), 1);
+            ints.prepare_external(150, threads);
+            let mut expect = Vec::new();
+            ints.hash_external(&set, 0, 150, &mut expect);
+            assert_eq!(ints.hash_external_ready(&set, 150), expect);
         }
     }
 
@@ -1028,9 +1007,7 @@ mod tests {
         assert!(bits.external_ready(96) && bits.external_ready(33));
         let mut expect = Vec::new();
         bits.hash_external(&vs[0], 0, 96, &mut expect);
-        for threads in [1usize, 3] {
-            assert_eq!(bits.hash_external_ready(&vs[0], 96, threads), expect);
-        }
+        assert_eq!(bits.hash_external_ready(&vs[0], 96), expect);
         bits.ensure(0, &vs[0], 64);
         bits.ensure(1, &vs[1], 96);
         assert_eq!(bits.total_hashes(), 160);
@@ -1048,7 +1025,7 @@ mod tests {
         assert!(ints.external_ready(50));
         let mut expect = Vec::new();
         ints.hash_external(&set, 0, 50, &mut expect);
-        assert_eq!(ints.hash_external_ready(&set, 50, 2), expect);
+        assert_eq!(ints.hash_external_ready(&set, 50), expect);
         ints.ensure(0, &set, 40);
         ints.clear(0);
         assert_eq!((ints.len(0), ints.total_hashes()), (0, 0));

@@ -448,14 +448,16 @@ proptest! {
             prop_assert_eq!(got, oracle_e2lsh_bucket(dim, seed, r, i, &va), "slot {}", i);
         }
         // External queries ride the same bank: the chunked `hash_external`
-        // path and the parallel splice both reproduce the pool's stream.
+        // path and the read-only path over a bank prepared with the same
+        // thread budget both reproduce the pool's stream.
         let mut ext = Vec::new();
         for (lo, hi) in random_cuts(total, &mut rng) {
             incremental.hash_external(&va, lo, hi, &mut ext);
         }
         prop_assert_eq!(ext.as_slice(), incremental.raw(0));
+        incremental.prepare_external(total, threads as usize);
         prop_assert_eq!(
-            incremental.hash_external_par(&vb, total, threads as usize).as_slice(),
+            incremental.hash_external_ready(&vb, total).as_slice(),
             incremental.raw(1)
         );
     }

@@ -396,28 +396,12 @@ impl ShardedSearcher {
         k: usize,
         params: &KnnParams,
     ) -> Result<TopKOutput, ShardError> {
-        // Mirror Searcher::top_k's parameter validation verbatim so a
-        // router request fails with the identical error.
+        // Validate exactly as Searcher::top_k does, so a router request
+        // fails with the identical error.
         if k == 0 {
             return Err(SearchError::invalid("k", "need at least one neighbour").into());
         }
-        if !(params.epsilon > 0.0 && params.epsilon < 1.0) {
-            return Err(SearchError::invalid(
-                "epsilon",
-                format!("must lie in (0, 1), got {}", params.epsilon),
-            )
-            .into());
-        }
-        if params.chunk < 1 || params.h < params.chunk {
-            return Err(SearchError::invalid(
-                "chunk",
-                format!(
-                    "need h >= chunk >= 1, got chunk {} h {}",
-                    params.chunk, params.h
-                ),
-            )
-            .into());
-        }
+        params.validate()?;
         let generation = self.generation();
         let ids = generation.ids.read().expect("id map poisoned");
         let n_shards = generation.manifest.shard_count();

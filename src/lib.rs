@@ -120,11 +120,6 @@
 //! assert!(!top.neighbors.is_empty());
 //! ```
 //!
-//! The deprecated `PipelineConfig::measure` setter still compiles and maps
-//! onto `family` (`Measure::L2` gets the default bucket width); new code
-//! should set [`PipelineConfig::family`](prelude::PipelineConfig) or use
-//! the presets.
-//!
 //! ## The SPRT verifier
 //!
 //! Beyond the paper's eight named algorithms, a ninth composition swaps
@@ -160,13 +155,14 @@
 //!
 //! ## Parallelism & determinism
 //!
-//! Hashing, indexing, candidate generation, and verification all fan out
-//! across worker threads; the knob is
-//! [`Parallelism`](prelude::Parallelism) on
+//! Hashing and indexing (at build, insert and compaction) and batch-join
+//! candidate generation and verification fan out across worker threads;
+//! the knob is [`Parallelism`](prelude::Parallelism) on
 //! [`PipelineConfig`](prelude::PipelineConfig) /
 //! [`SearcherBuilder`](prelude::SearcherBuilder) (`Auto` = the
 //! `BAYESLSH_THREADS` environment variable or all cores, resolved once at
-//! build). Output is **bit-identical to the serial path** at any thread
+//! build). Point queries run on the caller's thread; serve them from
+//! several threads to scale. Output is **bit-identical to the serial path** at any thread
 //! count — pairs, similarities, and candidate/prune counters — because
 //! work splits into deterministic chunks whose results merge in canonical
 //! order; see the README's "Parallelism & determinism" section and
@@ -341,9 +337,9 @@ pub mod prelude {
         bayes_verify, bayes_verify_lite, estimate_errors, mle_verify, recall_against,
         run_algorithm, run_composition, Algorithm, BayesLshConfig, BbitJaccardModel,
         CandidateGenerator, Composition, CompositionOutput, ConfigDiff, CosineModel, EngineStats,
-        Epoch, ErrorStats, FamilyModel, GeneratorKind, HashMode, JaccardModel, KnnIndex, KnnParams,
-        KnnStats, LiteConfig, MinMatchTable, PipelineConfig, PosteriorModel, PriorChoice,
-        QueryOutput, QueryStats, RunOutput, SearchContext, SearchError, Searcher, SearcherBuilder,
+        Epoch, ErrorStats, FamilyModel, GeneratorKind, HashMode, JaccardModel, KnnParams, KnnStats,
+        LiteConfig, MinMatchTable, PipelineConfig, PosteriorModel, PriorChoice, QueryOutput,
+        QueryStats, RunOutput, SearchContext, SearchError, Searcher, SearcherBuilder,
         ServingSearcher, SigPool, SnapshotError, SnapshotHeader, SprtConfig, SprtTable, TopKOutput,
         Verifier, VerifierKind, SNAPSHOT_FORMAT_VERSION,
     };

@@ -98,56 +98,6 @@ fn every_jaccard_composition_matches_its_searcher() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn deprecated_measure_shim_matches_the_family_config_path() {
-    // The migration contract for the `measure` → `family` API redesign:
-    // a config built through the deprecated `PipelineConfig::measure` shim
-    // is the *same config* as one whose `family` field was set directly,
-    // so every composition produces bit-identical output through both.
-    let data = corpus(309).binarized();
-    for (shimmed, direct) in [
-        (
-            PipelineConfig::jaccard(0.5).measure(Measure::Jaccard),
-            PipelineConfig::jaccard(0.5),
-        ),
-        (PipelineConfig::jaccard(0.5).measure(Measure::Cosine), {
-            let mut cfg = PipelineConfig::jaccard(0.5);
-            cfg.family = FamilyConfig::Cosine;
-            cfg
-        }),
-        (PipelineConfig::jaccard(0.5).measure(Measure::L2), {
-            let mut cfg = PipelineConfig::jaccard(0.5);
-            cfg.family = FamilyConfig::for_measure(Measure::L2);
-            cfg
-        }),
-    ] {
-        assert_eq!(shimmed, direct);
-    }
-    // And through the engines: all nine compositions, old path vs new.
-    let old_cfg = PipelineConfig::jaccard(0.5).measure(Measure::Jaccard);
-    let new_cfg = PipelineConfig::jaccard(0.5);
-    for comp in all_compositions() {
-        let old = Searcher::builder(old_cfg)
-            .composition(comp)
-            .build(data.clone())
-            .unwrap()
-            .all_pairs()
-            .unwrap();
-        let new = Searcher::builder(new_cfg)
-            .composition(comp)
-            .build(data.clone())
-            .unwrap()
-            .all_pairs()
-            .unwrap();
-        assert_eq!(
-            sorted(old.pairs),
-            sorted(new.pairs),
-            "{comp}: deprecated shim and family config must be bit-identical"
-        );
-    }
-}
-
-#[test]
 fn lazy_hash_mode_is_equivalent_too() {
     let data = corpus(303);
     let cfg = PipelineConfig::cosine(0.7);
