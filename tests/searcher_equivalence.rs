@@ -252,3 +252,31 @@ fn top_k_agrees_with_brute_force_mostly() {
     let recall = hits as f64 / total as f64;
     assert!(recall >= 0.75, "top-k recall {recall}");
 }
+
+#[test]
+fn top_k_reports_exact_similarities_sorted() {
+    // Point queries verify on the caller's thread through the shared scan:
+    // every reported neighbour carries its exact similarity, best first.
+    let data = corpus(310);
+    let searcher = Searcher::builder(PipelineConfig::cosine(0.5))
+        .build(data)
+        .unwrap();
+    let mut seen = 0usize;
+    for qid in (0..searcher.len() as u32).step_by(7) {
+        let q = searcher.data().vector(qid).clone();
+        let out = searcher.top_k(&q, 10, &KnnParams::default()).unwrap();
+        assert!(out.neighbors.len() <= 10);
+        for w in out.neighbors.windows(2) {
+            assert!(w[0].1 >= w[1].1, "query {qid}: results must be sorted");
+        }
+        for &(id, s) in &out.neighbors {
+            let exact = cosine(&q, searcher.data().vector(id));
+            assert!(
+                (s - exact).abs() < 1e-12,
+                "query {qid}: {id} reported {s}, exact {exact}"
+            );
+        }
+        seen += out.neighbors.len();
+    }
+    assert!(seen > 0, "queries must return neighbours");
+}
