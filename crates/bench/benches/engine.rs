@@ -6,7 +6,8 @@ use std::hint::black_box;
 
 use bayeslsh_candgen::all_pairs_cosine_candidates;
 use bayeslsh_core::{
-    bayes_verify, bayes_verify_lite, mle_verify, BayesLshConfig, CosineModel, LiteConfig,
+    bayes_verify, bayes_verify_lite, mle_verify, par_exact_verify, BayesLshConfig, CosineModel,
+    LiteConfig, Measure,
 };
 use bayeslsh_datasets::Preset;
 use bayeslsh_lsh::{r_to_cos, BitSignatures, SrpHasher};
@@ -61,6 +62,14 @@ fn bench_verification(c: &mut Criterion) {
                 .filter(|&&(a, b)| cosine(data.vector(a), data.vector(b)) >= t)
                 .count();
             black_box(n)
+        });
+    });
+    // The same exact step through the scatter-gather kernel: one anchor
+    // load per run, one gather per partner.
+    g.bench_function("exact_kernel", |b| {
+        b.iter(|| {
+            let out = par_exact_verify(&data, Measure::Cosine, t, black_box(&cands), 1);
+            black_box(out.len())
         });
     });
     g.finish();

@@ -334,7 +334,10 @@ mod tests {
         // Exact verification ⇒ no false positives at all.
         for &(a, b, s) in &out {
             assert!(s >= t, "({a},{b}) emitted below threshold: {s}");
-            assert!((s - cosine(data.vector(a), data.vector(b))).abs() < 1e-12);
+            assert_eq!(
+                s.to_bits(),
+                cosine(data.vector(a), data.vector(b)).to_bits()
+            );
         }
         // And high recall.
         let gt = truth(&data, t, cosine);

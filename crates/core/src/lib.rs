@@ -87,6 +87,7 @@ pub mod cosine_model;
 pub mod engine;
 pub mod error;
 pub mod estimator;
+mod exact;
 pub mod family_model;
 pub mod jaccard_model;
 pub mod knn;

@@ -31,8 +31,9 @@ use bayeslsh_sparse::{Dataset, SparseVector};
 use crate::config::{BayesLshConfig, LiteConfig, SprtConfig};
 use crate::engine::{bayes_table, lite_table, EngineStats};
 use crate::estimator::mle_scan;
+use crate::exact::{with_scratch, ExactProbe};
 use crate::posterior::PosteriorModel;
-use crate::scan::{par_scan_pairs, Bayes, Lite, Sprt};
+use crate::scan::{par_scan_pairs, run_end, Bayes, Lite, Sprt};
 use crate::sprt::SprtTable;
 
 /// The distinct object ids appearing in `candidates`, in first-encounter
@@ -54,9 +55,13 @@ pub fn candidate_ids(candidates: &[(u32, u32)], n_objects: usize) -> Vec<u32> {
     ids
 }
 
-/// Parallel exact verification: candidate chunks fan out, each pair gets a
-/// true similarity computation, survivors merge in candidate order —
-/// identical to the serial exact verifier.
+/// Parallel exact verification: every candidate pair gets a true
+/// similarity computation, and pairs at or above `threshold` come back in
+/// candidate order. Candidate chunks fan out; each worker walks its chunk
+/// one same-anchor run at a time, scattering the anchor once per run
+/// ([`bayeslsh_sparse::DenseProbe`]) and gathering each partner, so every
+/// similarity is bit-equal to [`Measure::eval`] on the pair and the output
+/// is the same at any thread count.
 pub fn par_exact_verify(
     data: &Dataset,
     measure: Measure,
@@ -65,13 +70,24 @@ pub fn par_exact_verify(
     threads: usize,
 ) -> Vec<(u32, u32, f64)> {
     fan_out(candidates.len(), threads, |_, range| {
-        candidates[range]
-            .iter()
-            .filter_map(|&(a, b)| {
-                let s = measure.eval(data.vector(a), data.vector(b));
-                (s >= threshold).then_some((a, b, s))
-            })
-            .collect::<Vec<_>>()
+        let chunk = &candidates[range];
+        let mut out = Vec::new();
+        with_scratch(|scratch| {
+            let mut i = 0;
+            while i < chunk.len() {
+                let j = run_end(chunk, i);
+                let a = chunk[i].0;
+                let mut exact = ExactProbe::new(measure, data.vector(a), scratch);
+                for &(_, b) in &chunk[i..j] {
+                    let s = exact.eval(data.vector(b));
+                    if s >= threshold {
+                        out.push((a, b, s));
+                    }
+                }
+                i = j;
+            }
+        });
+        out
     })
     .into_iter()
     .flatten()
@@ -185,7 +201,7 @@ mod tests {
     use bayeslsh_lsh::{
         cos_to_r, e2lsh_collision, e2lsh_similarity_at, r_to_cos, BitSignatures, SrpHasher,
     };
-    use bayeslsh_numeric::Xoshiro256;
+    use bayeslsh_numeric::{chunk_ranges, Xoshiro256};
 
     fn corpus(seed: u64) -> Dataset {
         let mut rng = Xoshiro256::seed_from_u64(seed);
@@ -222,6 +238,61 @@ mod tests {
         v
     }
 
+    /// Candidates in long same-anchor runs of uneven length — anchors
+    /// descending, partners on both sides of the anchor — so that
+    /// `fan_out`'s chunk boundaries at 2, 4 and 8 threads fall inside runs.
+    fn straddling_runs(n: u32) -> Vec<(u32, u32)> {
+        let mut v = Vec::new();
+        for a in (0..n).rev() {
+            v.extend(
+                (0..n)
+                    .filter(|&b| b != a && b % (a % 3 + 2) != 0)
+                    .map(|b| (a, b)),
+            );
+        }
+        for threads in [2usize, 4, 8] {
+            assert!(
+                chunk_ranges(v.len(), threads)
+                    .iter()
+                    .skip(1)
+                    .any(|r| v[r.start - 1].0 == v[r.start].0),
+                "a run must straddle a chunk boundary at {threads} threads"
+            );
+        }
+        v
+    }
+
+    /// `par_exact_verify` at threads 1, 2, 4 and 8 must equal a per-pair
+    /// [`Measure::eval`] filter, bit for bit and in candidate order, on the
+    /// canonical all-pairs list and on runs straddling chunk boundaries.
+    fn check_exact(data: &Dataset, measure: Measure, t: f64) {
+        let n = data.len() as u32;
+        let bits = |pairs: &[(u32, u32, f64)]| -> Vec<(u32, u32, u64)> {
+            pairs.iter().map(|&(a, b, s)| (a, b, s.to_bits())).collect()
+        };
+        for cands in [all_pairs(n), straddling_runs(n)] {
+            let want: Vec<(u32, u32, f64)> = cands
+                .iter()
+                .filter_map(|&(a, b)| {
+                    let s = measure.eval(data.vector(a), data.vector(b));
+                    (s >= t).then_some((a, b, s))
+                })
+                .collect();
+            assert!(
+                !want.is_empty() && want.len() < cands.len(),
+                "{measure}: the corpus must exercise both verdicts"
+            );
+            for threads in [1usize, 2, 4, 8] {
+                let got = par_exact_verify(data, measure, t, &cands, threads);
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{measure} exact, threads {threads}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn candidate_ids_first_encounter_order() {
         let ids = candidate_ids(&[(3, 1), (1, 2), (0, 3)], 5);
@@ -256,7 +327,8 @@ mod tests {
 
     /// Bayes, Lite and SPRT under `cfg`'s hash family: the parallel verifiers
     /// over a pre-hashed pool must reproduce the lazily-extending serial
-    /// engines' pairs and counters at threads 1, 2, 4 and 8.
+    /// engines' pairs and counters at threads 1, 2, 4 and 8; exact
+    /// verification must reproduce the per-pair measure.
     fn check_family<M: PosteriorModel + Sync>(
         data: &Dataset,
         cfg: &PipelineConfig,
@@ -283,6 +355,8 @@ mod tests {
                 "{measure} {name}: the corpus must exercise both verdicts"
             );
         }
+
+        check_exact(data, measure, cfg.threshold);
 
         let ids = candidate_ids(&cands, data.len());
         for threads in [1usize, 2, 4, 8] {
@@ -334,11 +408,10 @@ mod tests {
             |f| e2lsh_similarity_at(f, 4.0),
         );
 
-        // MLE and exact verification (cosine).
+        // MLE verification (cosine).
         let cands = all_pairs(data.len() as u32);
         let mut pool = BitSignatures::new(SrpHasher::new(data.dim(), 402), data.len());
         let (serial_mle, serial_comps) = mle_verify(&data, &mut pool, &cands, 256, 0.7, r_to_cos);
-        let serial_exact = par_exact_verify(&data, Measure::Cosine, 0.7, &cands, 1);
         let ids = candidate_ids(&cands, data.len());
         for threads in [1usize, 2, 4, 8] {
             let mut mle_pool = BitSignatures::new(SrpHasher::new(data.dim(), 402), data.len());
@@ -346,9 +419,6 @@ mod tests {
             let (pairs, comps) = par_mle_verify(&mle_pool, &cands, 256, 0.7, r_to_cos, threads);
             assert_eq!(pairs, serial_mle, "mle pairs, threads {threads}");
             assert_eq!(comps, serial_comps);
-
-            let exact = par_exact_verify(&data, Measure::Cosine, 0.7, &cands, threads);
-            assert_eq!(exact, serial_exact);
         }
     }
 }

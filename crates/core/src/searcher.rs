@@ -63,6 +63,7 @@ use crate::compose::{
 use crate::config::SprtConfig;
 use crate::engine::EngineStats;
 use crate::error::SearchError;
+use crate::exact::{with_scratch, ExactProbe};
 use crate::jaccard_model::JaccardModel;
 use crate::knn::{HeapItem, KnnParams, KnnStats};
 use crate::minmatch::{MinMatchCache, MinMatchTable};
@@ -736,10 +737,13 @@ impl Searcher {
         let engine = match self.composition.verifier {
             VerifierKind::Exact => {
                 stats.exact = cand_ids.len() as u64;
-                neighbors.extend(cand_ids.iter().filter_map(|&id| {
-                    let s = exact(q, data.vector(id));
-                    (s >= t).then_some((id, s))
-                }));
+                with_scratch(|scratch| {
+                    let mut query = ExactProbe::new(measure, q, scratch);
+                    neighbors.extend(cand_ids.iter().filter_map(|&id| {
+                        let s = query.eval(data.vector(id));
+                        (s >= t).then_some((id, s))
+                    }));
+                });
                 None
             }
             VerifierKind::Mle => {
@@ -939,29 +943,33 @@ impl Searcher {
             .query_agreements_batched(sig, cand_ids, 0, params.chunk, &mut first);
 
         // Min-heap of the current top-k (similarity, id); the k-th best
-        // similarity is a rising pruning threshold.
+        // similarity is a rising pruning threshold. Survivors are scored
+        // against the query scattered once, at the first survivor.
         let mut heap: BinaryHeap<std::cmp::Reverse<HeapItem>> = BinaryHeap::with_capacity(k + 1);
         let mut kth_best = params.floor;
-        for (&id, &m1) in cand_ids.iter().zip(&first) {
-            let (pruned, n) =
-                scan_candidate_resume(&self.data, pool, &*model, sig, id, m1, params, kth_best);
-            stats.hash_comparisons += n as u64;
-            if pruned {
-                stats.pruned += 1;
-                continue;
+        with_scratch(|scratch| {
+            let mut exact = ExactProbe::new(measure, q, scratch);
+            for (&id, &m1) in cand_ids.iter().zip(&first) {
+                let (pruned, n) =
+                    scan_candidate_resume(&self.data, pool, &*model, sig, id, m1, params, kth_best);
+                stats.hash_comparisons += n as u64;
+                if pruned {
+                    stats.pruned += 1;
+                    continue;
+                }
+                stats.exact += 1;
+                let s = exact.eval(self.data.vector(id));
+                if heap.len() < k {
+                    heap.push(std::cmp::Reverse(HeapItem(s, id)));
+                } else if s > heap.peek().unwrap().0 .0 {
+                    heap.pop();
+                    heap.push(std::cmp::Reverse(HeapItem(s, id)));
+                }
+                if heap.len() == k {
+                    kth_best = heap.peek().unwrap().0 .0.max(params.floor);
+                }
             }
-            stats.exact += 1;
-            let s = measure.eval(q, self.data.vector(id));
-            if heap.len() < k {
-                heap.push(std::cmp::Reverse(HeapItem(s, id)));
-            } else if s > heap.peek().unwrap().0 .0 {
-                heap.pop();
-                heap.push(std::cmp::Reverse(HeapItem(s, id)));
-            }
-            if heap.len() == k {
-                kth_best = heap.peek().unwrap().0 .0.max(params.floor);
-            }
-        }
+        });
         let mut neighbors: Vec<(u32, f64)> = heap
             .into_iter()
             .map(|std::cmp::Reverse(HeapItem(s, id))| (id, s))
@@ -1380,7 +1388,7 @@ mod tests {
             // Lite verification is exact for survivors.
             for &(id, sim) in &out.neighbors {
                 assert!(sim >= 0.7);
-                assert!((sim - cosine(&q, s.data().vector(id))).abs() < 1e-12);
+                assert_eq!(sim.to_bits(), cosine(&q, s.data().vector(id)).to_bits());
             }
             assert!(out.stats.candidates >= out.neighbors.len() as u64);
         }
@@ -1470,7 +1478,7 @@ mod tests {
             assert!(w[0].1 >= w[1].1);
         }
         for &(id, sim) in &out.neighbors {
-            assert!((sim - cosine(&q, s.data().vector(id))).abs() < 1e-12);
+            assert_eq!(sim.to_bits(), cosine(&q, s.data().vector(id)).to_bits());
         }
         assert!(s.top_k(&q, 0, &KnnParams::default()).is_err());
     }

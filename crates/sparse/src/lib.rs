@@ -7,8 +7,10 @@
 //! * [`SparseVector`] — an index-sorted sparse vector with `u32` feature ids
 //!   and `f32` weights (binary vectors are the special case of all-1 weights);
 //! * [`similarity`] — exact similarity measures (dot, cosine, Jaccard,
-//!   overlap), accumulated in `f64`: these are the ground truth every
-//!   approximate method is judged against;
+//!   overlap, L2), accumulated in `f64`: these are the ground truth every
+//!   approximate method is judged against. [`DenseProbe`] computes the same
+//!   values, bit for bit, for one vector against many partners by
+//!   scattering it once and gathering each partner in O(nnz);
 //! * [`Dataset`] — a corpus of vectors plus the summary statistics the paper
 //!   reports in Table 1;
 //! * [`tfidf`] — the tf-idf weighting + L2 normalization pipeline the paper
@@ -20,5 +22,5 @@ pub mod tfidf;
 pub mod vector;
 
 pub use dataset::{Dataset, DatasetStats};
-pub use similarity::{cosine, dot, jaccard, l2_distance, l2_similarity, overlap};
+pub use similarity::{cosine, dot, jaccard, l2_distance, l2_similarity, overlap, DenseProbe};
 pub use vector::SparseVector;

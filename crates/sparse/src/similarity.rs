@@ -3,6 +3,30 @@
 //! These are the ground-truth computations: BayesLSH-Lite calls them for
 //! unpruned candidates, and the evaluation harness uses them to measure the
 //! recall and estimation error of every approximate method.
+//!
+//! The pairwise functions ([`dot`], [`cosine`], ...) merge-join two sorted
+//! supports. [`DenseProbe`] computes the same values for one vector against
+//! many partners: it scatters the probe into a dense `f64` buffer once, then
+//! gathers each partner over its own indices in O(partner nnz).
+//!
+//! # Why the gather is bit-identical to the merge join
+//!
+//! The merge join adds `x_i · y_i` (each weight widened to `f64`) for every
+//! shared index `i`, in ascending index order, starting from `+0.0`. The
+//! gather walks the partner's indices in ascending order and adds
+//! `dense[i] · y_i`. At a shared index that is the same product, in the
+//! same order (`f64` multiplication is commutative). At every other index
+//! `dense[i]` is `+0.0`, so the term is `±0.0`, and adding `±0.0` leaves
+//! the running sum unchanged: a sum that is non-zero is returned as is,
+//! and the sum is never `-0.0` (it starts at `+0.0`, every shared product
+//! of two non-zero finite weights is non-zero, and in round-to-nearest
+//! `a + (−a)` is `+0.0`), while `+0.0 + (−0.0)` is `+0.0`. Dot products are
+//! therefore equal bit for bit, and so are cosines (the norms are the
+//! vectors' cached norms), overlaps and Jaccard similarities.
+//!
+//! [`l2_distance`] has no gather form: its sum runs over the *union* of
+//! the supports in index order, which a gather over one side cannot
+//! reproduce, so it stays a merge join.
 
 use crate::vector::SparseVector;
 
@@ -47,6 +71,7 @@ pub fn overlap(x: &SparseVector, y: &SparseVector) -> usize {
 
 /// Cosine similarity `dot(x, y) / (‖x‖·‖y‖)`; 0.0 when either vector is
 /// empty. For binary vectors this reduces to `|x ∩ y| / sqrt(|x|·|y|)`.
+/// The norms are the vectors' cached ones, so the cost is the dot product.
 pub fn cosine(x: &SparseVector, y: &SparseVector) -> f64 {
     let nx = x.norm();
     let ny = y.norm();
@@ -110,9 +135,107 @@ pub fn l2_similarity(x: &SparseVector, y: &SparseVector) -> f64 {
     1.0 / (1.0 + l2_distance(x, y))
 }
 
+/// A probe vector scattered into a dense `f64` buffer, reusable across
+/// probes: [`DenseProbe::load`] a vector once, then ask for its
+/// [`dot`](DenseProbe::dot), [`cosine`](DenseProbe::cosine),
+/// [`overlap`](DenseProbe::overlap) or [`jaccard`](DenseProbe::jaccard)
+/// against any number of partners, each in O(partner nnz) with no merge
+/// branches. Every value is bit-identical to the pairwise function with the
+/// probe as its first argument (see the module docs).
+///
+/// Loading resets only the slots the previous probe set, and the buffer
+/// grows on demand to the probe's largest index; a partner index beyond the
+/// buffer counts as a zero weight. Before the first load the probe is the
+/// empty vector.
+#[derive(Debug, Clone, Default)]
+pub struct DenseProbe {
+    /// The probe's weight (as `f64`) at each of its indices, `+0.0`
+    /// elsewhere.
+    dense: Vec<f64>,
+    /// The loaded probe's indices: the only non-zero slots of `dense`.
+    support: Vec<u32>,
+    /// The loaded probe's (cached) norm.
+    norm: f64,
+}
+
+impl DenseProbe {
+    /// An empty scratch; the buffer is allocated by the first load.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Scatter `probe` into the buffer, replacing the previous probe.
+    pub fn load(&mut self, probe: &SparseVector) {
+        for &i in &self.support {
+            self.dense[i as usize] = 0.0;
+        }
+        // Record the new support before scattering, so the buffer never
+        // holds a slot `support` does not name.
+        self.support.clear();
+        self.support.extend_from_slice(probe.indices());
+        let need = probe.min_dim() as usize;
+        if self.dense.len() < need {
+            self.dense.resize(need, 0.0);
+        }
+        for (i, v) in probe.iter() {
+            self.dense[i as usize] = v as f64;
+        }
+        self.norm = probe.norm();
+    }
+
+    /// Number of non-zero entries of the loaded probe.
+    pub fn nnz(&self) -> usize {
+        self.support.len()
+    }
+
+    /// The probe's weight at `i` (0.0 off its support).
+    #[inline]
+    fn weight(&self, i: u32) -> f64 {
+        self.dense.get(i as usize).copied().unwrap_or(0.0)
+    }
+
+    /// [`dot`]`(probe, y)`, bit for bit.
+    pub fn dot(&self, y: &SparseVector) -> f64 {
+        let mut acc = 0.0f64;
+        for (&i, &v) in y.indices().iter().zip(y.values()) {
+            acc += self.weight(i) * v as f64;
+        }
+        acc
+    }
+
+    /// [`overlap`]`(probe, y)`: the probe's weights are non-zero, so a
+    /// non-zero slot marks a shared index.
+    pub fn overlap(&self, y: &SparseVector) -> usize {
+        y.indices()
+            .iter()
+            .filter(|&&i| self.weight(i) != 0.0)
+            .count()
+    }
+
+    /// [`cosine`]`(probe, y)`, bit for bit.
+    pub fn cosine(&self, y: &SparseVector) -> f64 {
+        let ny = y.norm();
+        if self.norm == 0.0 || ny == 0.0 {
+            return 0.0;
+        }
+        (self.dot(y) / (self.norm * ny)).clamp(-1.0, 1.0)
+    }
+
+    /// [`jaccard`]`(probe, y)`, bit for bit.
+    pub fn jaccard(&self, y: &SparseVector) -> f64 {
+        if self.support.is_empty() && y.is_empty() {
+            return 1.0;
+        }
+        let inter = self.overlap(y);
+        let union = self.nnz() + y.nnz() - inter;
+        inter as f64 / union as f64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bayeslsh_numeric::wire::{WireReader, WireWriter};
     use proptest::prelude::*;
 
     fn v(pairs: &[(u32, f32)]) -> SparseVector {
@@ -202,12 +325,155 @@ mod tests {
         assert!((l2_distance(&x, &SparseVector::empty()) - x.norm()).abs() < 1e-6);
     }
 
+    /// Every value a loaded probe reports against `y` bit-equals the
+    /// pairwise function with the probe first.
+    fn assert_probe_matches(p: &DenseProbe, x: &SparseVector, y: &SparseVector) {
+        assert_eq!(p.dot(y).to_bits(), dot(x, y).to_bits(), "dot {x:?} · {y:?}");
+        assert_eq!(
+            p.cosine(y).to_bits(),
+            cosine(x, y).to_bits(),
+            "cosine {x:?}, {y:?}"
+        );
+        assert_eq!(p.overlap(y), overlap(x, y), "overlap {x:?}, {y:?}");
+        assert_eq!(
+            p.jaccard(y).to_bits(),
+            jaccard(x, y).to_bits(),
+            "jaccard {x:?}, {y:?}"
+        );
+    }
+
+    /// Load `probes` one after another on one scratch and check each
+    /// against every partner: a slot left over from an earlier probe would
+    /// show as a wrong value.
+    fn check_successive_loads(probes: &[&SparseVector], partners: &[&SparseVector]) {
+        let mut p = DenseProbe::new();
+        for x in probes {
+            p.load(x);
+            assert_eq!(p.nnz(), x.nnz());
+            for y in partners.iter().chain(probes) {
+                assert_probe_matches(&p, x, y);
+            }
+            assert_probe_matches(&p, x, &SparseVector::empty());
+        }
+    }
+
+    #[test]
+    fn dense_probe_edge_cases() {
+        let empty = SparseVector::empty();
+        let x = v(&[(0, 1.5), (7, -2.0), (300, 0.25)]);
+        let disjoint = v(&[(1, 4.0), (8, -1.0), (299, 3.0)]);
+        // Partner indices far beyond the probe's span and the buffer.
+        let beyond = v(&[(7, 1.0), (5_000, 2.0), (70_000, -3.0)]);
+        // A fresh scratch is the empty probe.
+        let fresh = DenseProbe::new();
+        for y in [&empty, &x, &beyond] {
+            assert_probe_matches(&fresh, &empty, y);
+        }
+        check_successive_loads(&[&empty, &x, &disjoint], &[&beyond]);
+        check_successive_loads(&[&x, &beyond, &empty, &x], &[&disjoint]);
+        let mut p = DenseProbe::new();
+        p.load(&x);
+        assert_eq!(p.dot(&disjoint), 0.0);
+        assert_eq!(p.overlap(&disjoint), 0);
+        // Only index 7 is shared with `beyond`.
+        assert_eq!(p.dot(&beyond), -2.0);
+        assert_eq!(p.overlap(&beyond), 1);
+    }
+
     fn arb_vec() -> impl Strategy<Value = SparseVector> {
         proptest::collection::vec((0u32..200, 0.01f32..10.0), 0..40)
             .prop_map(SparseVector::from_pairs)
     }
 
+    /// Signed weights over a narrow index range.
+    fn arb_short() -> impl Strategy<Value = SparseVector> {
+        proptest::collection::vec((0u32..40, -10.0f32..10.0), 0..20)
+            .prop_map(SparseVector::from_pairs)
+    }
+
+    /// Signed weights over a wider range, overlapping the short one.
+    fn arb_long() -> impl Strategy<Value = SparseVector> {
+        proptest::collection::vec((0u32..2_000, -10.0f32..10.0), 0..80)
+            .prop_map(SparseVector::from_pairs)
+    }
+
+    /// Signed weights on indices no short or long vector uses.
+    fn arb_high() -> impl Strategy<Value = SparseVector> {
+        proptest::collection::vec((2_000u32..50_000, -10.0f32..10.0), 0..40)
+            .prop_map(SparseVector::from_pairs)
+    }
+
+    /// The expression every constructor must cache the norm with.
+    fn recomputed_norm(v: &SparseVector) -> f64 {
+        v.values()
+            .iter()
+            .map(|&w| {
+                let w = w as f64;
+                w * w
+            })
+            .sum::<f64>()
+            .sqrt()
+    }
+
+    fn assert_norm_cached(v: &SparseVector, what: &str) {
+        assert_eq!(
+            v.norm().to_bits(),
+            recomputed_norm(v).to_bits(),
+            "{what}: {v:?}"
+        );
+    }
+
     proptest! {
+        #[test]
+        fn dense_probe_is_bit_identical_to_pairwise(
+            short in arb_short(),
+            long in arb_long(),
+            high in arb_high(),
+            shared in arb_long(),
+        ) {
+            // Partners share support with the probes (`shared` merged in),
+            // are disjoint from them (`high`), or reach beyond the buffer a
+            // short probe leaves (`long`, `high`).
+            let mixed = SparseVector::from_pairs(long.iter().chain(shared.iter()));
+            let partners = [&short, &long, &high, &shared, &mixed];
+            check_successive_loads(&[&short, &long, &mixed], &partners);
+            check_successive_loads(&[&high, &short, &shared], &partners);
+            let (bs, bl) = (short.binarize(), mixed.binarize());
+            check_successive_loads(&[&bs, &bl, &high.binarize()], &[&bs, &bl, &long]);
+        }
+
+        #[test]
+        fn norm_is_cached_by_every_constructor(
+            pairs in proptest::collection::vec((0u32..500, -10.0f32..10.0), 0..60),
+            ids in proptest::collection::vec(0u32..500, 0..60),
+            factor in -4.0f32..4.0,
+        ) {
+            let v = SparseVector::from_pairs(pairs);
+            assert_norm_cached(&v, "from_pairs");
+            let sorted =
+                SparseVector::from_sorted(v.indices().to_vec(), v.values().to_vec()).unwrap();
+            assert_norm_cached(&sorted, "from_sorted");
+            assert_norm_cached(&SparseVector::from_indices(ids), "from_indices");
+            assert_norm_cached(&v.l2_normalized(), "l2_normalized");
+            assert_norm_cached(&v.binarize(), "binarize");
+            if factor != 0.0 {
+                assert_norm_cached(&v.scaled(factor), "scaled");
+            }
+            assert_norm_cached(&SparseVector::empty(), "empty");
+
+            let mut d = crate::Dataset::new(0);
+            d.push(v.clone());
+            d.push(v.l2_normalized());
+            let mut w = WireWriter::new(Vec::new());
+            d.write_wire(&mut w).unwrap();
+            let bytes = w.into_inner();
+            let back = crate::Dataset::read_wire(&mut WireReader::new(&bytes[..])).unwrap();
+            for (orig, read) in d.vectors().iter().zip(back.vectors()) {
+                assert_norm_cached(read, "wire round trip");
+                prop_assert_eq!(read.norm().to_bits(), orig.norm().to_bits());
+            }
+        }
+
         #[test]
         fn dot_is_symmetric(x in arb_vec(), y in arb_vec()) {
             prop_assert!((dot(&x, &y) - dot(&y, &x)).abs() < 1e-9);

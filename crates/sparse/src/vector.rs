@@ -12,10 +12,14 @@ use std::fmt;
 ///
 /// A *binary* vector (a set) is represented with all weights equal to `1.0`;
 /// [`SparseVector::binarize`] converts any vector to that form.
+///
+/// The L2 norm is computed once, when the vector is built, and cached
+/// (see [`SparseVector::norm`]).
 #[derive(Clone, PartialEq)]
 pub struct SparseVector {
     indices: Vec<u32>,
     values: Vec<f32>,
+    norm: f64,
 }
 
 impl fmt::Debug for SparseVector {
@@ -31,13 +35,34 @@ impl fmt::Debug for SparseVector {
     }
 }
 
+/// Euclidean norm of `values`, accumulated in `f64` in index order — the
+/// one expression every cached norm is computed with.
+fn l2_norm(values: &[f32]) -> f64 {
+    values
+        .iter()
+        .map(|&v| {
+            let v = v as f64;
+            v * v
+        })
+        .sum::<f64>()
+        .sqrt()
+}
+
 impl SparseVector {
+    /// Assemble from parallel arrays that already satisfy the invariants,
+    /// caching the norm.
+    fn from_parts(indices: Vec<u32>, values: Vec<f32>) -> Self {
+        let norm = l2_norm(&values);
+        Self {
+            indices,
+            values,
+            norm,
+        }
+    }
+
     /// The empty vector.
     pub fn empty() -> Self {
-        Self {
-            indices: Vec::new(),
-            values: Vec::new(),
-        }
+        Self::from_parts(Vec::new(), Vec::new())
     }
 
     /// Build from arbitrary `(index, weight)` pairs: sorts by index, sums
@@ -66,10 +91,7 @@ impl SparseVector {
                 out_v.push(v);
             }
         }
-        Self {
-            indices: out_i,
-            values: out_v,
-        }
+        Self::from_parts(out_i, out_v)
     }
 
     /// Build from pre-sorted parallel slices. Returns `None` if the input
@@ -85,7 +107,7 @@ impl SparseVector {
         if values.iter().any(|v| *v == 0.0 || !v.is_finite()) {
             return None;
         }
-        Some(Self { indices, values })
+        Some(Self::from_parts(indices, values))
     }
 
     /// Build a binary vector (all weights 1.0) from a set of feature ids.
@@ -93,7 +115,7 @@ impl SparseVector {
         indices.sort_unstable();
         indices.dedup();
         let values = vec![1.0; indices.len()];
-        Self { indices, values }
+        Self::from_parts(indices, values)
     }
 
     /// Number of non-zero entries.
@@ -138,16 +160,11 @@ impl SparseVector {
         self.indices.last().map_or(0, |&i| i + 1)
     }
 
-    /// Euclidean (L2) norm, accumulated in `f64`.
+    /// Euclidean (L2) norm, accumulated in `f64` in index order. It is
+    /// computed once by the constructor and cached, so this is O(1) — and
+    /// so is the norm side of [`crate::cosine`].
     pub fn norm(&self) -> f64 {
-        self.values
-            .iter()
-            .map(|&v| {
-                let v = v as f64;
-                v * v
-            })
-            .sum::<f64>()
-            .sqrt()
+        self.norm
     }
 
     /// Largest absolute weight (0.0 for the empty vector). AllPairs' bounds
@@ -168,18 +185,12 @@ impl SparseVector {
             return self.clone();
         }
         let values = self.values.iter().map(|&v| (v as f64 / n) as f32).collect();
-        Self {
-            indices: self.indices.clone(),
-            values,
-        }
+        Self::from_parts(self.indices.clone(), values)
     }
 
     /// A binary copy: same support, all weights 1.0.
     pub fn binarize(&self) -> Self {
-        Self {
-            indices: self.indices.clone(),
-            values: vec![1.0; self.indices.len()],
-        }
+        Self::from_parts(self.indices.clone(), vec![1.0; self.indices.len()])
     }
 
     /// True if every weight equals 1.0.
@@ -190,10 +201,10 @@ impl SparseVector {
     /// Scale every weight by `factor` (must be finite and non-zero).
     pub fn scaled(&self, factor: f32) -> Self {
         assert!(factor.is_finite() && factor != 0.0);
-        Self {
-            indices: self.indices.clone(),
-            values: self.values.iter().map(|&v| v * factor).collect(),
-        }
+        Self::from_parts(
+            self.indices.clone(),
+            self.values.iter().map(|&v| v * factor).collect(),
+        )
     }
 }
 

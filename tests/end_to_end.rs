@@ -116,6 +116,9 @@ fn jaccard_lite_on_graph_preset() {
     let out = run_algorithm(Algorithm::ApBayesLshLite, &data, &cfg);
     assert!(recall_against(&truth, &out.pairs) >= 0.9);
     for &(a, b, s) in &out.pairs {
-        assert!((jaccard(data.vector(a), data.vector(b)) - s).abs() < 1e-12);
+        assert_eq!(
+            s.to_bits(),
+            jaccard(data.vector(a), data.vector(b)).to_bits()
+        );
     }
 }
