@@ -293,6 +293,31 @@ mod tests {
         }
     }
 
+    /// `data` with the feature ids of every other vector hashed across
+    /// `u32` (an injective map below `u32::MAX`), as shingle hashing
+    /// leaves them: anchors alternate between ids a dense scratch can hold
+    /// and ids past any scatter span.
+    fn hashed_ids(data: &Dataset) -> Dataset {
+        let spread = |i: u32| (i as u64 * 2_654_435_761 % u32::MAX as u64) as u32;
+        let mut d = Dataset::new(0);
+        for (id, v) in data.iter() {
+            d.push(if id % 2 == 0 {
+                SparseVector::from_pairs(v.iter().map(|(i, w)| (spread(i), w)))
+            } else {
+                v.clone()
+            });
+        }
+        d
+    }
+
+    #[test]
+    fn exact_verify_handles_feature_ids_near_u32_max() {
+        let data = hashed_ids(&corpus(403));
+        assert!(data.dim() > 4_000_000_000);
+        check_exact(&data, Measure::Cosine, 0.5);
+        check_exact(&data.binarized(), Measure::Jaccard, 0.4);
+    }
+
     #[test]
     fn candidate_ids_first_encounter_order() {
         let ids = candidate_ids(&[(3, 1), (1, 2), (0, 3)], 5);

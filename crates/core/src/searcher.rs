@@ -1318,7 +1318,7 @@ fn scan_candidate_resume<A: PoolAccess<Pool = SigPool>>(
 mod tests {
     use super::*;
     use bayeslsh_numeric::Xoshiro256;
-    use bayeslsh_sparse::cosine;
+    use bayeslsh_sparse::{cosine, jaccard};
 
     fn corpus(seed: u64) -> Dataset {
         let mut rng = Xoshiro256::seed_from_u64(seed);
@@ -1481,6 +1481,43 @@ mod tests {
             assert_eq!(sim.to_bits(), cosine(&q, s.data().vector(id)).to_bits());
         }
         assert!(s.top_k(&q, 0, &KnnParams::default()).is_err());
+    }
+
+    #[test]
+    fn jaccard_exact_scoring_handles_feature_ids_near_u32_max() {
+        // Hashed shingle ids spread across `u32`; Jaccard has no dimension
+        // check, so the exact step must score such ids without sizing
+        // anything by them.
+        let spread = |i: u32| (i as u64 * 2_654_435_761 % u32::MAX as u64) as u32;
+        let data = Dataset::from_vectors(
+            corpus(9)
+                .vectors()
+                .iter()
+                .map(|v| {
+                    SparseVector::from_indices(v.indices().iter().map(|&i| spread(i)).collect())
+                })
+                .collect(),
+            0,
+        );
+        let s = Searcher::builder(PipelineConfig::jaccard(0.5))
+            .algorithm(Algorithm::Lsh)
+            .build(data)
+            .unwrap();
+        for qid in [0u32, 13, 47] {
+            let mut ids = s.data().vector(qid).indices().to_vec();
+            ids.extend([3_000_000_000, u32::MAX - 1]);
+            let q = SparseVector::from_indices(ids);
+            let out = s.query(&q, 0.5).unwrap();
+            assert!(out.neighbors.iter().any(|&(id, _)| id == qid));
+            for &(id, sim) in &out.neighbors {
+                assert_eq!(sim.to_bits(), jaccard(&q, s.data().vector(id)).to_bits());
+            }
+            let top = s.top_k(&q, 5, &KnnParams::default()).unwrap();
+            assert_eq!(top.neighbors[0].0, qid);
+            for &(id, sim) in &top.neighbors {
+                assert_eq!(sim.to_bits(), jaccard(&q, s.data().vector(id)).to_bits());
+            }
+        }
     }
 
     /// Fifteen clusters of eight noisy copies: every query has a handful

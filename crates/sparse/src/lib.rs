@@ -10,7 +10,9 @@
 //!   overlap, L2), accumulated in `f64`: these are the ground truth every
 //!   approximate method is judged against. [`DenseProbe`] computes the same
 //!   values, bit for bit, for one vector against many partners by
-//!   scattering it once and gathering each partner in O(nnz);
+//!   scattering it once and gathering each partner in O(nnz) (a probe with
+//!   feature ids past a fixed span is merge-joined instead, so its memory
+//!   stays bounded);
 //! * [`Dataset`] — a corpus of vectors plus the summary statistics the paper
 //!   reports in Table 1;
 //! * [`tfidf`] — the tf-idf weighting + L2 normalization pipeline the paper

@@ -24,6 +24,12 @@
 //! therefore equal bit for bit, and so are cosines (the norms are the
 //! vectors' cached norms), overlaps and Jaccard similarities.
 //!
+//! The dense buffer spans the probe's largest index, so a probe whose
+//! largest index is [`MAX_SCATTER_SPAN`] or more — hashed feature ids can
+//! sit anywhere in `u32` — is not scattered: the probe keeps its sparse
+//! entries and each partner is merge-joined against them, which is the
+//! pairwise computation itself.
+//!
 //! [`l2_distance`] has no gather form: its sum runs over the *union* of
 //! the supports in index order, which a gather over one side cannot
 //! reproduce, so it stays a merge join.
@@ -32,8 +38,11 @@ use crate::vector::SparseVector;
 
 /// Dot product, accumulated in `f64` via a sorted merge join.
 pub fn dot(x: &SparseVector, y: &SparseVector) -> f64 {
-    let (xi, xv) = (x.indices(), x.values());
-    let (yi, yv) = (y.indices(), y.values());
+    merge_dot(x.indices(), x.values(), y.indices(), y.values())
+}
+
+/// [`dot`] over raw sorted supports and their weights.
+fn merge_dot(xi: &[u32], xv: &[f32], yi: &[u32], yv: &[f32]) -> f64 {
     let mut acc = 0.0f64;
     let (mut i, mut j) = (0usize, 0usize);
     while i < xi.len() && j < yi.len() {
@@ -52,7 +61,11 @@ pub fn dot(x: &SparseVector, y: &SparseVector) -> f64 {
 
 /// Number of shared feature indices (set overlap).
 pub fn overlap(x: &SparseVector, y: &SparseVector) -> usize {
-    let (xi, yi) = (x.indices(), y.indices());
+    merge_overlap(x.indices(), y.indices())
+}
+
+/// [`overlap`] over raw sorted supports.
+fn merge_overlap(xi: &[u32], yi: &[u32]) -> usize {
     let mut count = 0usize;
     let (mut i, mut j) = (0usize, 0usize);
     while i < xi.len() && j < yi.len() {
@@ -135,6 +148,12 @@ pub fn l2_similarity(x: &SparseVector, y: &SparseVector) -> f64 {
     1.0 / (1.0 + l2_distance(x, y))
 }
 
+/// Largest dense buffer, in slots, that a [`DenseProbe`] grows to: 2^22
+/// slots, 32 MiB of `f64`. Every corpus of the paper fits at full scale
+/// (the widest, Orkut, has 3.07 M features). A probe with an index at or
+/// beyond it is merge-joined instead of scattered.
+pub const MAX_SCATTER_SPAN: usize = 1 << 22;
+
 /// A probe vector scattered into a dense `f64` buffer, reusable across
 /// probes: [`DenseProbe::load`] a vector once, then ask for its
 /// [`dot`](DenseProbe::dot), [`cosine`](DenseProbe::cosine),
@@ -144,16 +163,24 @@ pub fn l2_similarity(x: &SparseVector, y: &SparseVector) -> f64 {
 /// probe as its first argument (see the module docs).
 ///
 /// Loading resets only the slots the previous probe set, and the buffer
-/// grows on demand to the probe's largest index; a partner index beyond the
-/// buffer counts as a zero weight. Before the first load the probe is the
-/// empty vector.
+/// grows on demand to the probe's largest index, up to
+/// [`MAX_SCATTER_SPAN`] slots; a partner index beyond the buffer counts as
+/// a zero weight. A probe reaching past that bound is kept sparse and
+/// merge-joined against each partner, so memory stays bounded for any
+/// input. Before the first load the probe is the empty vector.
 #[derive(Debug, Clone, Default)]
 pub struct DenseProbe {
-    /// The probe's weight (as `f64`) at each of its indices, `+0.0`
-    /// elsewhere.
+    /// The scattered probe's weight (as `f64`) at each of its indices,
+    /// `+0.0` elsewhere; all `+0.0` while an unscattered probe is loaded.
     dense: Vec<f64>,
-    /// The loaded probe's indices: the only non-zero slots of `dense`.
+    /// The loaded probe's indices: when scattered, the only non-zero slots
+    /// of `dense`.
     support: Vec<u32>,
+    /// The loaded probe's weights when it is not scattered; empty when it
+    /// is.
+    weights: Vec<f32>,
+    /// Whether the loaded probe is scattered into `dense`.
+    scattered: bool,
     /// The loaded probe's (cached) norm.
     norm: f64,
 }
@@ -164,23 +191,33 @@ impl DenseProbe {
         Self::default()
     }
 
-    /// Scatter `probe` into the buffer, replacing the previous probe.
+    /// Scatter `probe` into the buffer, replacing the previous probe; a
+    /// probe with an index at or beyond [`MAX_SCATTER_SPAN`] is kept sparse
+    /// instead.
     pub fn load(&mut self, probe: &SparseVector) {
-        for &i in &self.support {
-            self.dense[i as usize] = 0.0;
+        if self.scattered {
+            for &i in &self.support {
+                self.dense[i as usize] = 0.0;
+            }
         }
         // Record the new support before scattering, so the buffer never
         // holds a slot `support` does not name.
         self.support.clear();
         self.support.extend_from_slice(probe.indices());
-        let need = probe.min_dim() as usize;
-        if self.dense.len() < need {
-            self.dense.resize(need, 0.0);
+        self.weights.clear();
+        self.norm = probe.norm();
+        let span = probe.indices().last().map_or(0, |&i| i as usize + 1);
+        self.scattered = span <= MAX_SCATTER_SPAN;
+        if !self.scattered {
+            self.weights.extend_from_slice(probe.values());
+            return;
+        }
+        if self.dense.len() < span {
+            self.dense.resize(span, 0.0);
         }
         for (i, v) in probe.iter() {
             self.dense[i as usize] = v as f64;
         }
-        self.norm = probe.norm();
     }
 
     /// Number of non-zero entries of the loaded probe.
@@ -196,6 +233,9 @@ impl DenseProbe {
 
     /// [`dot`]`(probe, y)`, bit for bit.
     pub fn dot(&self, y: &SparseVector) -> f64 {
+        if !self.scattered {
+            return merge_dot(&self.support, &self.weights, y.indices(), y.values());
+        }
         let mut acc = 0.0f64;
         for (&i, &v) in y.indices().iter().zip(y.values()) {
             acc += self.weight(i) * v as f64;
@@ -203,9 +243,13 @@ impl DenseProbe {
         acc
     }
 
-    /// [`overlap`]`(probe, y)`: the probe's weights are non-zero, so a
-    /// non-zero slot marks a shared index.
+    /// [`overlap`]`(probe, y)`: the probe's weights are non-zero (a
+    /// [`SparseVector`] stores none), so a non-zero slot marks a shared
+    /// index.
     pub fn overlap(&self, y: &SparseVector) -> usize {
+        if !self.scattered {
+            return merge_overlap(&self.support, y.indices());
+        }
         y.indices()
             .iter()
             .filter(|&&i| self.weight(i) != 0.0)
@@ -378,6 +422,45 @@ mod tests {
         // Only index 7 is shared with `beyond`.
         assert_eq!(p.dot(&beyond), -2.0);
         assert_eq!(p.overlap(&beyond), 1);
+
+        // A weight that underflowed in normalization is dropped, not kept
+        // as a stored zero the gather would miss in `overlap`.
+        let tiny = v(&[(0, 1e30), (1, 1e-30), (7, 1.0)]).l2_normalized();
+        assert_eq!(tiny.indices(), &[0, 7]);
+        check_successive_loads(&[&tiny, &x], &[&v(&[(0, 1.0), (1, 1.0), (7, 1.0)])]);
+    }
+
+    #[test]
+    fn dense_probe_keeps_wide_probes_sparse() {
+        // Hashed feature ids reach the top of `u32`: such a probe must not
+        // size the buffer by its largest id.
+        let wide = v(&[(3, 1.0), (3_000_000_000, -2.0), (u32::MAX, 0.5)]);
+        let edge = v(&[(5, 2.0), (MAX_SCATTER_SPAN as u32, 1.0)]);
+        let last_slot = v(&[(5, 1.0), (MAX_SCATTER_SPAN as u32 - 1, 3.0)]);
+        let x = v(&[(3, 1.5), (5, -1.0), (3_000_000_000, 4.0)]);
+        let partners = [
+            &wide,
+            &edge,
+            &last_slot,
+            &x,
+            &SparseVector::from_indices(vec![u32::MAX]),
+        ];
+        // Switch between sparse and scattered probes on one scratch, so a
+        // stale slot or a reset past the buffer would show.
+        check_successive_loads(
+            &[&wide, &x, &last_slot, &edge, &wide, &last_slot],
+            &partners,
+        );
+        let mut p = DenseProbe::new();
+        for probe in [&wide, &x, &edge, &last_slot] {
+            p.load(probe);
+            assert!(p.dense.len() <= MAX_SCATTER_SPAN);
+        }
+        assert_eq!(p.dense.len(), MAX_SCATTER_SPAN);
+        p.load(&wide);
+        assert_eq!(p.dot(&x), 1.5 - 8.0);
+        assert_eq!(p.overlap(&x), 2);
+        assert!(p.dense.iter().all(|&w| w == 0.0));
     }
 
     fn arb_vec() -> impl Strategy<Value = SparseVector> {
@@ -401,6 +484,17 @@ mod tests {
     fn arb_high() -> impl Strategy<Value = SparseVector> {
         proptest::collection::vec((2_000u32..50_000, -10.0f32..10.0), 0..40)
             .prop_map(SparseVector::from_pairs)
+    }
+
+    /// Signed weights on hashed-style ids: a few near the top of `u32`,
+    /// past the scatter span, and the rest overlapping the short range.
+    fn arb_wide() -> impl Strategy<Value = SparseVector> {
+        let top = (u32::MAX - 50..=u32::MAX, -10.0f32..10.0);
+        (
+            proptest::collection::vec(top, 1..6),
+            proptest::collection::vec((0u32..40, -10.0f32..10.0), 0..20),
+        )
+            .prop_map(|(a, b)| SparseVector::from_pairs(a.into_iter().chain(b)))
     }
 
     /// The expression every constructor must cache the norm with.
@@ -430,16 +524,19 @@ mod tests {
             long in arb_long(),
             high in arb_high(),
             shared in arb_long(),
+            wide in arb_wide(),
         ) {
             // Partners share support with the probes (`shared` merged in),
             // are disjoint from them (`high`), or reach beyond the buffer a
-            // short probe leaves (`long`, `high`).
+            // short probe leaves (`long`, `high`, `wide`); `wide` probes
+            // are kept sparse.
             let mixed = SparseVector::from_pairs(long.iter().chain(shared.iter()));
-            let partners = [&short, &long, &high, &shared, &mixed];
+            let partners = [&short, &long, &high, &shared, &mixed, &wide];
             check_successive_loads(&[&short, &long, &mixed], &partners);
             check_successive_loads(&[&high, &short, &shared], &partners);
-            let (bs, bl) = (short.binarize(), mixed.binarize());
-            check_successive_loads(&[&bs, &bl, &high.binarize()], &[&bs, &bl, &long]);
+            check_successive_loads(&[&wide, &short, &wide, &long], &partners);
+            let (bs, bl, bw) = (short.binarize(), mixed.binarize(), wide.binarize());
+            check_successive_loads(&[&bs, &bl, &high.binarize(), &bw], &[&bs, &bl, &long, &bw]);
         }
 
         #[test]
@@ -460,6 +557,15 @@ mod tests {
                 assert_norm_cached(&v.scaled(factor), "scaled");
             }
             assert_norm_cached(&SparseVector::empty(), "empty");
+            // Weights that underflow or overflow `f32` are dropped, and the
+            // norm is cached over the entries that remain.
+            let extreme = SparseVector::from_pairs(v.iter().chain([(600, 1e30), (601, 1e-30)]));
+            assert_norm_cached(&extreme.l2_normalized(), "l2_normalized, underflow");
+            assert_norm_cached(&extreme.scaled(1e-20), "scaled, underflow");
+            assert_norm_cached(&extreme.scaled(1e20), "scaled, overflow");
+            for w in [extreme.l2_normalized(), extreme.scaled(1e-20), extreme.scaled(1e20)] {
+                prop_assert!(w.values().iter().all(|x| *x != 0.0 && x.is_finite()));
+            }
 
             let mut d = crate::Dataset::new(0);
             d.push(v.clone());

@@ -60,6 +60,14 @@ impl SparseVector {
         }
     }
 
+    /// Assemble from entries in strictly increasing index order, dropping
+    /// zero and non-finite weights — the constructors whose arithmetic can
+    /// cancel, underflow or overflow a weight keep the invariants this way.
+    fn from_nonzero(entries: impl Iterator<Item = (u32, f32)>) -> Self {
+        let (indices, values) = entries.filter(|&(_, v)| v != 0.0 && v.is_finite()).unzip();
+        Self::from_parts(indices, values)
+    }
+
     /// The empty vector.
     pub fn empty() -> Self {
         Self::from_parts(Vec::new(), Vec::new())
@@ -83,15 +91,7 @@ impl SparseVector {
             values.push(v);
         }
         // Remove entries that cancelled to zero or were non-finite.
-        let mut out_i = Vec::with_capacity(indices.len());
-        let mut out_v = Vec::with_capacity(values.len());
-        for (i, v) in indices.into_iter().zip(values) {
-            if v != 0.0 && v.is_finite() {
-                out_i.push(i);
-                out_v.push(v);
-            }
-        }
-        Self::from_parts(out_i, out_v)
+        Self::from_nonzero(indices.into_iter().zip(values))
     }
 
     /// Build from pre-sorted parallel slices. Returns `None` if the input
@@ -178,14 +178,15 @@ impl SparseVector {
         self.values.iter().map(|&v| v as f64).sum()
     }
 
-    /// A copy scaled to unit L2 norm; the empty vector stays empty.
+    /// A copy scaled to unit L2 norm; the empty vector stays empty. A
+    /// weight too small against the norm to survive as an `f32` underflows
+    /// to zero and its entry is dropped.
     pub fn l2_normalized(&self) -> Self {
         let n = self.norm();
         if n == 0.0 {
             return self.clone();
         }
-        let values = self.values.iter().map(|&v| (v as f64 / n) as f32).collect();
-        Self::from_parts(self.indices.clone(), values)
+        Self::from_nonzero(self.iter().map(|(i, v)| (i, (v as f64 / n) as f32)))
     }
 
     /// A binary copy: same support, all weights 1.0.
@@ -199,12 +200,11 @@ impl SparseVector {
     }
 
     /// Scale every weight by `factor` (must be finite and non-zero).
+    /// Entries whose product underflows to zero or overflows to infinity
+    /// are dropped.
     pub fn scaled(&self, factor: f32) -> Self {
         assert!(factor.is_finite() && factor != 0.0);
-        Self::from_parts(
-            self.indices.clone(),
-            self.values.iter().map(|&v| v * factor).collect(),
-        )
+        Self::from_nonzero(self.iter().map(|(i, v)| (i, v * factor)))
     }
 }
 
@@ -267,6 +267,21 @@ mod tests {
         assert!((v.get(0) - 0.6).abs() < 1e-6);
         // Empty vector survives normalization.
         assert!(SparseVector::empty().l2_normalized().is_empty());
+    }
+
+    #[test]
+    fn normalizing_and_scaling_drop_weights_that_leave_f32_range() {
+        let v = SparseVector::from_pairs(vec![(0, 1e30), (1, 1e-30), (2, 1.0)]);
+        // 1e-30 / 1e30 underflows to zero; 1.0 / 1e30 is still an f32.
+        let n = v.l2_normalized();
+        assert_eq!(n.indices(), &[0, 2]);
+        assert_eq!(n.values()[0], 1.0);
+        // 1e-30 · 1e-20 underflows; 1e30 · 1e20 overflows.
+        assert_eq!(v.scaled(1e-20).indices(), &[0, 2]);
+        assert_eq!(v.scaled(1e20).indices(), &[1, 2]);
+        for w in [n, v.scaled(1e-20), v.scaled(1e20)] {
+            assert!(w.values().iter().all(|x| *x != 0.0 && x.is_finite()));
+        }
     }
 
     #[test]
